@@ -8,6 +8,7 @@ from .params import (
     graph_parameters,
     max_density,
     nash_williams_exact,
+    pseudoarboricity,
 )
 from .transforms import (
     clique_product_spec,
@@ -29,4 +30,5 @@ __all__ = [
     "line_graph_spec",
     "max_density",
     "nash_williams_exact",
+    "pseudoarboricity",
 ]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench import WORKLOADS
 from repro.errors import InvalidInstanceError
 from repro.graphs import (
     arboricity_bounds,
@@ -16,6 +20,7 @@ from repro.graphs import (
     identifiers,
     max_density,
     nash_williams_exact,
+    pseudoarboricity,
 )
 from repro.local import SimGraph
 
@@ -121,6 +126,7 @@ class TestArboricityMachinery:
         dens = density_arboricity(graph)
         dgen = degeneracy(graph)
         assert dens <= exact <= dgen
+        assert exact <= dens + 1
         assert dgen <= 2 * exact
 
     def test_bounds_helper(self):
@@ -133,6 +139,66 @@ class TestArboricityMachinery:
         whole = density_arboricity(graph)
         sub = graph.subgraph(list(graph.nodes())[:15])
         assert density_arboricity(sub) <= whole
+
+
+def assert_matches_flow_oracle(graph):
+    """``density_arboricity`` equals Goldberg's bound and is certified."""
+    orientation = pseudoarboricity(graph)
+    top = orientation.indegree
+    assert density_arboricity(graph) == max(1, math.ceil(max_density(graph)))
+    assert Counter(frozenset(arc) for arc in orientation.arcs) == Counter(
+        frozenset(edge) for edge in graph.edges()
+    )
+    indegree = Counter(head for _, head in orientation.arcs)
+    assert max(indegree.values(), default=0) == top
+    witness = orientation.witness
+    assert witness
+    assert graph.subgraph(witness).number_of_edges() > (top - 1) * len(witness)
+
+
+class TestPseudoarboricity:
+    """The run-path orientation against the max-flow oracle."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        p=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gnp_matches_max_density(self, n, p, seed):
+        assert_matches_flow_oracle(nx.gnp_random_graph(n, p, seed=seed))
+
+    @pytest.mark.parametrize("family", sorted(WORKLOADS))
+    @pytest.mark.parametrize("n", [12, 30, 80])
+    def test_workload_families_match_max_density(self, family, n):
+        for seed in range(2 if n == 80 else 3):
+            assert_matches_flow_oracle(WORKLOADS[family](n, seed=seed))
+
+    @pytest.mark.parametrize(
+        "graph",
+        [nx.complete_graph(k) for k in range(2, 9)]
+        + [
+            nx.disjoint_union(nx.complete_graph(6), nx.path_graph(30)),
+            nx.disjoint_union_all([nx.complete_graph(k) for k in (3, 5, 7)]),
+            nx.empty_graph(6),
+            nx.union(nx.cycle_graph(5), nx.empty_graph(range(5, 9))),
+        ],
+        ids=[f"K{k}" for k in range(2, 9)]
+        + ["K6+path", "K3+K5+K7", "edgeless", "isolated-nodes"],
+    )
+    def test_named_graphs_match_max_density(self, graph):
+        assert_matches_flow_oracle(graph)
+
+    def test_run_path_never_uses_max_flow(self, monkeypatch):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("max-flow called on the run path")
+
+        graph = WORKLOADS["udg"](80, seed=1)
+        expected = max(1, math.ceil(max_density(graph)))
+        monkeypatch.setattr(nx, "maximum_flow_value", no_flow)
+        with pytest.raises(AssertionError, match="max-flow"):
+            max_density(graph)
+        assert density_arboricity(graph) == expected
 
 
 class TestGraphParameters:
