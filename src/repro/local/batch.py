@@ -73,17 +73,29 @@ def numpy_or_none():
     return _np
 
 
-def stream_keys(key, idents):
-    """Per-node counter-stream keys ``key ^ (ident * mix)`` as uint64.
+def ident_key_base(idents):
+    """Run-independent half of the stream keys: ``(ident * mix) & MASK64``.
 
     Identities may exceed 64 bits (derived-graph encodings), so the
     mixing is done in Python big-int arithmetic before narrowing.
     """
     np = _np
     return np.array(
-        [(key ^ ((ident * _IDENT_MIX) & _MASK64)) for ident in idents],
-        dtype=np.uint64,
+        [(ident * _IDENT_MIX) & _MASK64 for ident in idents], dtype=np.uint64
     )
+
+
+def stream_keys(key, idents, base=None):
+    """Per-node counter-stream keys ``key ^ ((ident * mix) & MASK64)``.
+
+    ``base`` is ``ident_key_base(idents)`` when the caller has it (a
+    :class:`BatchGraph` caches it as ``key_base``); the run key is then
+    XORed in numpy, with no per-node Python work.
+    """
+    np = _np
+    if base is None:
+        base = ident_key_base(idents)
+    return base ^ np.uint64(key)
 
 
 class CounterDraws:
@@ -139,9 +151,12 @@ class SequentialDraws:
 class BatchGraph:
     """Numpy CSR mirror plus label/identity views, in identity order."""
 
-    __slots__ = ("labels", "idents", "n", "offsets", "neigh", "owner", "degrees")
+    __slots__ = (
+        "labels", "idents", "n", "offsets", "neigh", "owner", "degrees",
+        "_key_base",
+    )
 
-    def __init__(self, labels, idents, offsets, neigh):
+    def __init__(self, labels, idents, offsets, neigh, key_base=None):
         np = _np
         self.labels = labels
         self.idents = idents  # Python ints: may exceed 64 bits
@@ -150,6 +165,15 @@ class BatchGraph:
         self.neigh = np.asarray(neigh, dtype=np.int64)
         self.degrees = self.offsets[1:] - self.offsets[:-1]
         self.owner = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        self._key_base = key_base
+
+    @property
+    def key_base(self):
+        """:func:`ident_key_base` of :attr:`idents`, computed once."""
+        base = self._key_base
+        if base is None:
+            base = self._key_base = ident_key_base(self.idents)
+        return base
 
     def charge(self, senders=None):
         """Message count for a broadcast by ``senders`` (all nodes if
@@ -170,7 +194,11 @@ def batch_graph_of(cg):
     """The cached :class:`BatchGraph` mirror of a ``CompiledGraph``."""
     bg = cg._batch
     if bg is None:
-        bg = cg._batch = BatchGraph(cg.labels, cg.idents, cg.offsets, cg.neigh)
+        arrays = cg._arrays
+        offsets, neigh = (
+            arrays[:2] if arrays is not None else (cg.offsets, cg.neigh)
+        )
+        bg = cg._batch = BatchGraph(cg.labels, cg.idents, offsets, neigh)
     return bg
 
 
@@ -321,7 +349,8 @@ class _VirtualMtNodeFactory:
 def _engine_draw_builder(bg, rng_mode, seed, salt):
     def build(bits):
         if rng_mode == "counter":
-            return CounterDraws(stream_keys(run_key(seed, salt), bg.idents), bits)
+            keys = stream_keys(run_key(seed, salt), bg.idents, bg.key_base)
+            return CounterDraws(keys, bits)
         return SequentialDraws(
             _MtNodeFactory(seed, salt, bg.idents), bg.n, bits
         )
@@ -345,14 +374,14 @@ def virtual_draw_builder(bg, spec, physical, rng_mode, seed, salt):
         if rng_mode == "counter":
             key = run_key(seed, salt)
             base_cache = {}
-            keys = np.empty(bg.n, dtype=np.uint64)
+            host_bases = np.empty(bg.n, dtype=np.uint64)
             for i, p in enumerate(hosts):
                 base = base_cache.get(p)
                 if base is None:
                     host_key = key ^ ((host_ident[p] * _IDENT_MIX) & _MASK64)
                     base = base_cache[p] = CounterRNG(host_key).getrandbits(64)
-                keys[i] = base ^ ((bg.idents[i] * _IDENT_MIX) & _MASK64)
-            return CounterDraws(keys, bits)
+                host_bases[i] = base
+            return CounterDraws(host_bases ^ bg.key_base, bits)
         return SequentialDraws(
             _VirtualMtNodeFactory(seed, salt, bg.idents, hosts, host_ident),
             bg.n,

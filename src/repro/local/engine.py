@@ -49,6 +49,14 @@ reverse ports renumber through a rank scan over the slab.  The child
 ``SimGraph`` is created with its ``CompiledGraph`` already attached, so
 an alternation ``B_i = (A_i ; P)`` never recompiles surviving structure.
 
+Incremental mutation
+--------------------
+:meth:`CompiledGraph.apply_delta` applies a
+:class:`~repro.local.graph.GraphDelta` as a numpy splice of the int64
+``(offsets, neigh, rev)`` arrays with O(churn) Python work (DESIGN.md
+D18).  The child is born from those arrays together with its batch
+mirror, and builds the list views above only on first use.
+
 Partitioned execution
 ---------------------
 :class:`Partition` cuts the CSR into ``k`` contiguous shards (node order
@@ -69,11 +77,17 @@ the equivalence contract between the two backends.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import weakref
+from bisect import bisect_left, bisect_right
 
 from ..errors import NonTerminationError
 from .algorithm import LocalAlgorithm
-from .batch import make_engine_kernel
+from .batch import (
+    BatchGraph,
+    ident_key_base,
+    make_engine_kernel,
+    numpy_or_none,
+)
 from .context import NodeContext, rng_source
 from .faults import DROP, GARBLE, GARBLED
 from .message import Broadcast, normalize_outgoing
@@ -290,19 +304,56 @@ class Partition:
         return layout
 
 
+def _row_slots(np, offsets, rows):
+    """Slots of ``rows``, concatenated: ``(query, slot)`` arrays.
+
+    ``query[t]`` is the position in ``rows`` whose row holds ``slot[t]``.
+    Work is the total degree of the listed rows.
+    """
+    lo = offsets[rows]
+    deg = offsets[rows + 1] - lo
+    query = np.repeat(np.arange(len(rows), dtype=np.int64), deg)
+    return query, np.arange(len(query), dtype=np.int64) + (
+        lo - np.cumsum(deg) + deg
+    )[query]
+
+
+def _row_ranks(np, offsets, neigh, rows, values):
+    """Per query, how many entries of row ``rows[q]`` are below ``values[q]``.
+
+    Rows are ascending, so ``offsets[row] + rank`` is the slot holding
+    the value, or the slot it is inserted at when absent.
+    """
+    query, slots = _row_slots(np, offsets, rows)
+    below = neigh[slots] < values[query]
+    return np.bincount(query, weights=below, minlength=len(rows)).astype(
+        np.int64
+    )
+
+
 class CompiledGraph:
-    """CSR (compressed sparse row) view of a :class:`SimGraph`."""
+    """CSR (compressed sparse row) view of a :class:`SimGraph`.
+
+    A compiled graph is born either from Python lists (the first compile
+    and :meth:`restrict` children) or from int64 numpy arrays
+    (:meth:`apply_delta` children).  The other form is derived on first
+    use and cached: :meth:`arrays` for the numpy splice, and the list
+    views ``offsets`` / ``neigh`` / ``rev`` / ``degrees`` / ``pairs``
+    that the per-node loops, :class:`Partition` and :meth:`restrict`
+    index.
+    """
 
     __slots__ = (
-        "graph",
+        "_graph",
         "n",
         "labels",
         "index",
         "idents",
-        "degrees",
-        "offsets",
-        "neigh",
-        "rev",
+        "_offsets",
+        "_neigh",
+        "_rev",
+        "_degrees",
+        "_arrays",
         "_pairs",
         "_batch",
         "_partitions",
@@ -312,14 +363,10 @@ class CompiledGraph:
     )
 
     def __init__(self, graph, _raw=None):
-        self.graph = graph
         labels = graph.nodes
-        self.labels = labels
-        self.n = len(labels)
         index = {u: i for i, u in enumerate(labels)}
-        self.index = index
         ident = graph.ident
-        self.idents = [ident[u] for u in labels]
+        self._attach(graph, index, [ident[u] for u in labels])
         if _raw is not None:
             offsets, neigh, rev = _raw
         else:
@@ -332,17 +379,110 @@ class CompiledGraph:
                     neigh.append(index[v])
                     rev.append(reverse_port)
                 offsets.append(len(neigh))
-        self.offsets = offsets
-        self.neigh = neigh
-        self.rev = rev
-        self.degrees = [
-            offsets[i + 1] - offsets[i] for i in range(self.n)
-        ]
+        self._offsets = offsets
+        self._neigh = neigh
+        self._rev = rev
+
+    def _attach(self, graph, index, idents):
+        self._graph = weakref.ref(graph)
+        self.labels = graph.nodes
+        self.n = len(self.labels)
+        self.index = index
+        self.idents = idents
+        self._offsets = self._neigh = self._rev = self._degrees = None
+        self._arrays = None
         self._pairs = None
-        #: Lazily built numpy mirror (repro.local.batch.BatchGraph).
+        #: Numpy mirror (repro.local.batch.BatchGraph): built on first use,
+        #: or handed over at birth by apply_delta.
         self._batch = None
         #: Lazily built edge-cut plans, keyed by shard count.
         self._partitions = None
+
+    @property
+    def graph(self):
+        """The :class:`SimGraph` this CSR belongs to.
+
+        Held by weak reference: the graph owns its compiled view, and a
+        strong reference back would make every graph a reference cycle
+        that only the cyclic collector frees, so a live session would
+        hold many retired CSRs in memory between collections.
+        """
+        return self._graph()
+
+    @classmethod
+    def _from_arrays(cls, graph, index, idents, arrays):
+        """A compiled graph born from int64 ``(offsets, neigh, rev)``."""
+        cg = cls.__new__(cls)
+        cg._attach(graph, index, idents)
+        cg._arrays = arrays
+        return cg
+
+    def arrays(self):
+        """The CSR as int64 numpy ``(offsets, neigh, rev)`` (cached)."""
+        arrays = self._arrays
+        if arrays is None:
+            np = numpy_or_none()
+            arrays = self._arrays = tuple(
+                np.array(view, dtype=np.int64)
+                for view in (self._offsets, self._neigh, self._rev)
+            )
+        return arrays
+
+    def _build_lists(self):
+        # Array-born graphs have no list views until one is first read.
+        self._offsets, self._neigh, self._rev = (
+            array.tolist() for array in self._arrays
+        )
+
+    @property
+    def offsets(self):
+        """``n+1`` row pointers (Python list)."""
+        if self._offsets is None:
+            self._build_lists()
+        return self._offsets
+
+    @property
+    def neigh(self):
+        """Flat neighbour indices, port order within each row (Python list)."""
+        if self._neigh is None:
+            self._build_lists()
+        return self._neigh
+
+    @property
+    def rev(self):
+        """Flat reverse ports, parallel to :attr:`neigh` (Python list)."""
+        if self._rev is None:
+            self._build_lists()
+        return self._rev
+
+    @property
+    def degrees(self):
+        """Per-index degree (Python list)."""
+        view = self._degrees
+        if view is None:
+            if self._offsets is None:
+                view = numpy_or_none().diff(self._arrays[0]).tolist()
+            else:
+                offsets = self._offsets
+                view = [offsets[i + 1] - offsets[i] for i in range(self.n)]
+            self._degrees = view
+        return view
+
+    def adjacent(self, i, j):
+        """Whether index ``j`` is in row ``i``, by bisecting the row.
+
+        Bisects the numpy row while the list views are unbuilt, so an
+        edge probe never forces an O(m) conversion.
+        """
+        if self._neigh is None:
+            offsets, neigh, _ = self._arrays
+            lo, hi = offsets[i], offsets[i + 1]
+            k = lo + neigh[lo:hi].searchsorted(j)
+            return bool(k < hi and neigh[k] == j)
+        offsets, neigh = self._offsets, self._neigh
+        lo, hi = offsets[i], offsets[i + 1]
+        k = bisect_left(neigh, j, lo, hi)
+        return k < hi and neigh[k] == j
 
     @property
     def pairs(self):
@@ -436,149 +576,150 @@ class CompiledGraph:
         return child
 
     def apply_delta(self, delta):
-        """Patched-CSR application of a validated :class:`GraphDelta`.
+        """Spliced-CSR application of a validated :class:`GraphDelta`.
 
-        The insert/delete analogue of :meth:`restrict`'s rank scan
-        (DESIGN.md D18): untouched rows are copied as C-level slices
-        (edge-only deltas) or a flat index remap (node churn), touched
-        rows are rebuilt by a sorted merge of the surviving slice with
-        the insertions, and reverse ports renumber in one seen-counter
-        pass over the new CSR.  Total Python-level work is O(n + m) with
-        per-edge costs only on touched rows — no identity re-sort, no
-        networkx round-trip, no global re-porting.
+        A numpy splice over the int64 :meth:`arrays` (DESIGN.md D18):
+        cut the slots of deleted edges and nodes (rows bisected, twins
+        read off ``rev``), remap neighbour indices through ``new_of``
+        under node churn, insert new slots at their ``searchsorted``
+        positions, shift ``offsets`` by the per-row degree change, and
+        recompute reverse ports only for slots pointing into a touched
+        row — a slot's rev is its owner's rank in the target's row, so
+        it can change only when that row changed.  Python-level work is
+        O(churn); the O(n + m) part is a few numpy copies.
 
-        The caller (:meth:`SimGraph.apply_delta <repro.local.graph.
-        SimGraph.apply_delta>`) has already validated ``delta``; rows
-        here trust it (an unvalidated duplicate insert would silently
-        corrupt port ranks, which is why validation is mandatory and
-        eager).
+        The child is born with its :class:`~repro.local.batch.BatchGraph`
+        mirror seeded from the same arrays and, when the node set is
+        unchanged, shares the parent's immutable node state (labels,
+        index, identities, ident dict, node set, stream-key base).
+
+        The caller has validated ``delta`` and checked numpy is present
+        (:meth:`SimGraph.apply_delta <repro.local.graph.SimGraph.
+        apply_delta>`, the session); a duplicate insert would silently
+        corrupt port ranks, which is why validation is mandatory.
         """
         from .graph import SimGraph
 
+        np = numpy_or_none()
+        offsets, neigh, rev = self.arrays()
         index = self.index
-        offsets, neigh, rev = self.offsets, self.neigh, self.rev
-        labels = self.labels
-        idents = self.idents
+        graph = self.graph
         n = self.n
 
-        dead = bytearray(n)
-        for u in delta.del_nodes:
-            dead[index[u]] = 1
-        # Old-index pairs of deleted edges, both directions, plus the
-        # set of rows whose surviving slice differs from the old row.
-        dropped = set()
-        touched = bytearray(n)
-        for u, v in delta.del_edges:
-            iu, iv = index[u], index[v]
-            dropped.add((iu, iv))
-            dropped.add((iv, iu))
-            touched[iu] = 1
-            touched[iv] = 1
-        for u in delta.del_nodes:
-            i = index[u]
-            for k in range(offsets[i], offsets[i + 1]):
-                touched[neigh[k]] = 1
-
-        # Merge survivors (already in identity order) with the added
-        # nodes (sorted by identity) into the new node order.
-        added = sorted(delta.add_nodes, key=lambda pair: pair[1])
-        survivors = [i for i in range(n) if not dead[i]]
-        new_labels = []
-        new_ident = {}
-        new_of = [-1] * n  # old index -> new index (-1 when deleted)
-        old_of = []  # new index -> old index (-1 for added nodes)
-        added_index = {}
-        si = ai = 0
-        n_surv = len(survivors)
-        n_add = len(added)
-        while si < n_surv or ai < n_add:
-            if ai < n_add and (
-                si == n_surv or added[ai][1] < idents[survivors[si]]
-            ):
-                label, ident = added[ai]
-                added_index[label] = len(new_labels)
-                old_of.append(-1)
-                new_labels.append(label)
-                new_ident[label] = ident
-                ai += 1
-            else:
-                i = survivors[si]
-                new_of[i] = len(new_labels)
-                old_of.append(i)
-                u = labels[i]
-                new_labels.append(u)
-                new_ident[u] = idents[i]
-                si += 1
-
-        def index_new(u):
-            i = index.get(u)
-            if i is not None and not dead[i]:
-                return new_of[i]
-            return added_index[u]
-
-        inserts = {}
-        for u, v in delta.add_edges:
-            ju, jv = index_new(u), index_new(v)
-            inserts.setdefault(ju, []).append(jv)
-            inserts.setdefault(jv, []).append(ju)
-
-        # new_of is the identity map iff the node set is unchanged —
-        # then untouched rows copy as raw slices with no remap at all.
-        identity_map = not (delta.del_nodes or delta.add_nodes)
-        nn = len(new_labels)
-        new_offsets = [0]
-        new_neigh = []
-        for j in range(nn):
-            i = old_of[j]
-            adds = inserts.get(j)
-            if i < 0:
-                # Fresh node: its row is exactly its sorted insertions.
-                if adds:
-                    new_neigh.extend(sorted(adds))
-            elif adds is None and not touched[i]:
-                row = neigh[offsets[i]:offsets[i + 1]]
-                if identity_map:
-                    new_neigh.extend(row)
-                else:
-                    new_neigh.extend([new_of[w] for w in row])
-            else:
-                # Sorted merge: the surviving slice and the insertions
-                # are both ascending in new-index order (new_of is
-                # monotone on survivors), so one linear pass keeps the
-                # row in canonical neighbour-identity order.
-                adds = sorted(adds) if adds else []
-                pa = 0
-                na = len(adds)
-                for k in range(offsets[i], offsets[i + 1]):
-                    w = neigh[k]
-                    if dead[w] or (i, w) in dropped:
-                        continue
-                    nw = new_of[w]
-                    while pa < na and adds[pa] < nw:
-                        new_neigh.append(adds[pa])
-                        pa += 1
-                    new_neigh.append(nw)
-                while pa < na:
-                    new_neigh.append(adds[pa])
-                    pa += 1
-            new_offsets.append(len(new_neigh))
-
-        # Reverse ports in one seen-counter pass: rows are ascending and
-        # the relation is symmetric, so for a fixed target w the slots
-        # pointing at w arrive in ascending owner order — the running
-        # count seen[w] is exactly the owner's rank (= port) in w's row.
-        new_rev = [0] * len(new_neigh)
-        seen = [0] * nn
-        pos = 0
-        for w in new_neigh:
-            new_rev[pos] = seen[w]
-            seen[w] += 1
-            pos += 1
-
-        child = SimGraph(new_labels, new_ident, None)
-        child._compiled = CompiledGraph(
-            child, _raw=(new_offsets, new_neigh, new_rev)
+        # Slots to cut, in parent coordinates.
+        cut = []
+        if delta.del_edges:
+            ends = np.array(
+                [(index[u], index[v]) for u, v in delta.del_edges],
+                dtype=np.int64,
+            )
+            slot = offsets[ends[:, 0]] + _row_ranks(
+                np, offsets, neigh, ends[:, 0], ends[:, 1]
+            )
+            cut += [slot, offsets[ends[:, 1]] + rev[slot]]
+        dead = np.array([index[u] for u in delta.del_nodes], dtype=np.int64)
+        if len(dead):
+            _, slot = _row_slots(np, offsets, dead)
+            cut += [slot, offsets[neigh[slot]] + rev[slot]]
+        cut = (
+            np.unique(np.concatenate(cut))
+            if cut
+            else np.zeros(0, dtype=np.int64)
         )
+        cut_owner = offsets.searchsorted(cut, side="right") - 1
+        degrees = np.diff(offsets) - np.bincount(cut_owner, minlength=n)
+        keep = np.ones(len(neigh), dtype=bool)
+        keep[cut] = False
+        new_neigh = neigh[keep]
+        new_rev = rev[keep]
+
+        parent_bg = self._batch
+        key_base = parent_bg._key_base if parent_bg is not None else None
+        if delta.del_nodes or delta.add_nodes:
+            added = sorted(delta.add_nodes, key=lambda pair: pair[1])
+            gone = np.zeros(n, dtype=bool)
+            gone[dead] = True
+            alive = ~gone
+            # Per added node: `at` old nodes of smaller identity, `into`
+            # its insert position among the survivors, `born` its final
+            # index.  new_of maps old indices to new ones (monotone on
+            # survivors).
+            at = np.array(
+                [bisect_left(self.idents, ident) for _, ident in added],
+                dtype=np.int64,
+            )
+            into = at - np.sort(dead).searchsorted(at)
+            born = into + np.arange(len(added), dtype=np.int64)
+            old = np.arange(n, dtype=np.int64)
+            new_of = (
+                old
+                - (np.cumsum(gone) - gone)
+                + at.searchsorted(old, side="right")
+            )
+            new_neigh = new_of[new_neigh]
+            degrees = np.insert(degrees[alive], into, 0)
+            survivors = np.flatnonzero(alive).tolist()
+            labels = [self.labels[i] for i in survivors]
+            idents = [self.idents[i] for i in survivors]
+            for (u, ident), j in zip(added, born.tolist()):
+                labels.insert(j, u)
+                idents.insert(j, ident)
+            ident_of = dict(graph.ident)
+            for u in delta.del_nodes:
+                del ident_of[u]
+            ident_of.update(added)
+            child = SimGraph._sharing(
+                tuple(labels), ident_of, frozenset(labels)
+            )
+            index = {u: j for j, u in enumerate(child.nodes)}
+            if key_base is not None:
+                key_base = np.insert(
+                    key_base[alive], into,
+                    ident_key_base([ident for _, ident in added]),
+                )
+            # Rows that lost an entry, in new coordinates.
+            touched = [new_of[cut_owner[alive[cut_owner]]]]
+        else:
+            child = SimGraph._sharing(graph.nodes, graph.ident, graph._node_set)
+            idents = self.idents
+            touched = [cut_owner]
+
+        if delta.add_edges:
+            ends = np.array(
+                [(index[u], index[v]) for u, v in delta.add_edges],
+                dtype=np.int64,
+            )
+            rows = np.concatenate([ends[:, 0], ends[:, 1]])
+            values = np.concatenate([ends[:, 1], ends[:, 0]])
+            order = np.lexsort((values, rows))
+            rows, values = rows[order], values[order]
+            mid = np.zeros(len(degrees) + 1, dtype=np.int64)
+            np.cumsum(degrees, out=mid[1:])
+            at = mid[rows] + _row_ranks(np, mid, new_neigh, rows, values)
+            new_neigh = np.insert(new_neigh, at, values)
+            new_rev = np.insert(new_rev, at, 0)
+            degrees += np.bincount(rows, minlength=len(degrees))
+            touched.append(rows)
+        new_offsets = np.zeros(len(degrees) + 1, dtype=np.int64)
+        np.cumsum(degrees, out=new_offsets[1:])
+
+        # Every slot x -> w into a touched row w gets its owner's rank in
+        # w's row; all other reverse ports carried over unchanged.
+        touched = np.unique(np.concatenate(touched))
+        query, slot = _row_slots(np, new_offsets, touched)
+        w = touched[query]
+        x = new_neigh[slot]
+        new_rev[
+            new_offsets[x] + _row_ranks(np, new_offsets, new_neigh, x, w)
+        ] = slot - new_offsets[w]
+
+        cg = CompiledGraph._from_arrays(
+            child, index, idents, (new_offsets, new_neigh, new_rev)
+        )
+        cg._batch = BatchGraph(
+            child.nodes, idents, new_offsets, new_neigh, key_base=key_base
+        )
+        child._compiled = cg
         return child
 
 

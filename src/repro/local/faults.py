@@ -359,13 +359,9 @@ class BatchFaults:
         self.has_crash = bool((crash_round >= 0).any())
         self.eff = eff
         self.thr_m1 = thr_m1
-        # Big-int identity mixing before narrowing (idents may exceed
-        # 64 bits), matching stream_keys / CompiledFaults.decide.
-        fkey = compiled.fkey
-        m1 = np.array(
-            [fkey ^ ((ident * _IDENT_MIX) & _MASK64) for ident in bg.idents],
-            dtype=np.uint64,
-        )
+        # The graph's cached stream-key base holds the big-int identity
+        # mixing, matching stream_keys / CompiledFaults.decide.
+        m1 = bg.key_base ^ np.uint64(compiled.fkey)
         m2 = np.array(
             [(ident * _RECV_MIX) & _MASK64 for ident in bg.idents],
             dtype=np.uint64,

@@ -124,7 +124,7 @@ class FusedBatchGraph(batch.BatchGraph):
         np = batch.numpy_or_none()
         twin = FusedBatchGraph.__new__(FusedBatchGraph)
         for name in (
-            "labels", "idents", "n", "offsets", "degrees",
+            "labels", "idents", "n", "offsets", "degrees", "_key_base",
             "lane_of", "lane_bounds", "lane_count",
             "_fdegrees", "_lane_degrees", "_draw_cache",
             "_full_owner", "_full_neigh", "_edge_bounds",
@@ -282,9 +282,10 @@ class _FusedMtFactory:
 def _fused_draw_builder(bg, rng_mode, seeds, salts):
     """Per-lane draw derivation: each lane's streams match its solo run.
 
-    Counter scheme: concatenate per-lane ``stream_keys`` derived from
-    that lane's ``run_key(seed, salt)`` — the closed per-draw form then
-    yields bit-identical values because a node's draw index (its phase)
+    Counter scheme: XOR each lane's ``run_key(seed, salt)`` into that
+    lane's slice of the slab's stream-key base, so every node gets the
+    key of its solo run — the closed per-draw form then yields
+    bit-identical values because a node's draw index (its phase)
     advances exactly as in the solo run (lanes share the schedule).
     """
 
@@ -301,17 +302,9 @@ def _fused_draw_builder(bg, rng_mode, seeds, salts):
             if keys is None:
                 if len(bg._draw_cache) >= 8:
                     bg._draw_cache.clear()
-                keys = np.concatenate(
-                    [
-                        batch.stream_keys(
-                            run_keys[k],
-                            bg.idents[
-                                bg.lane_bounds[k] : bg.lane_bounds[k + 1]
-                            ],
-                        )
-                        for k in range(bg.lane_count)
-                    ]
-                )
+                keys = bg.key_base ^ np.array(run_keys, dtype=np.uint64)[
+                    bg.lane_of
+                ]
                 bg._draw_cache[run_keys] = keys
             return batch.CounterDraws(keys, bits)
         return batch.SequentialDraws(

@@ -139,20 +139,27 @@ class GraphDelta:
                 raise ParameterError(
                     f"cannot add node {u!r}: label already in the graph"
                 )
-        surviving_idents = {
-            graph.ident[u] for u in graph.nodes if u not in deleted
-        }
-        for u, ident in self.add_nodes:
-            if ident in surviving_idents:
-                raise ParameterError(
-                    f"added node {u!r}: identity {ident} collides with a "
-                    f"surviving node"
-                )
-        final = (node_set - deleted) | added_labels
+        if self.add_nodes:
+            # O(n), so only built when there are identities to check.
+            surviving_idents = {
+                graph.ident[u] for u in graph.nodes if u not in deleted
+            }
+            for u, ident in self.add_nodes:
+                if ident in surviving_idents:
+                    raise ParameterError(
+                        f"added node {u!r}: identity {ident} collides with "
+                        f"a surviving node"
+                    )
+
+        def in_final(w):
+            if w in node_set:
+                return w not in deleted
+            return w in added_labels
+
         dropped = {frozenset(e) for e in self.del_edges}
         for u, v in self.add_edges:
-            if u not in final or v not in final:
-                missing = u if u not in final else v
+            if not (in_final(u) and in_final(v)):
+                missing = u if not in_final(u) else v
                 raise ParameterError(
                     f"added edge ({u!r}, {v!r}) touches unknown node "
                     f"{missing!r}"
@@ -189,7 +196,11 @@ class SimGraph:
         *neighbour*'s own numbering.
     """
 
-    __slots__ = ("nodes", "ident", "_adj", "_degree", "_node_set", "_compiled")
+    __slots__ = (
+        "nodes", "ident", "_adj", "_degree", "_node_set", "_compiled",
+        # The compiled view refers back to its graph weakly (engine.py).
+        "__weakref__",
+    )
 
     def __init__(self, nodes, ident, adj):
         self.nodes = tuple(nodes)
@@ -205,6 +216,24 @@ class SimGraph:
         self._node_set = frozenset(self.nodes)
         #: Lazily built CSR view (repro.local.engine.CompiledGraph).
         self._compiled = None
+
+    @classmethod
+    def _sharing(cls, nodes, ident, node_set):
+        """A CSR-born graph (``adj=None``) over given node state, uncopied.
+
+        For :meth:`CompiledGraph.apply_delta <repro.local.engine.
+        CompiledGraph.apply_delta>` children, which share the parent's
+        immutable ``nodes`` / ``ident`` / node set when the delta leaves
+        the node set unchanged; the caller attaches the CSR.
+        """
+        graph = cls.__new__(cls)
+        graph.nodes = nodes
+        graph.ident = ident
+        graph._adj = None
+        graph._degree = None
+        graph._node_set = node_set
+        graph._compiled = None
+        return graph
 
     @property
     def adj(self):
@@ -350,17 +379,15 @@ class SimGraph:
         Delta validation (:meth:`GraphDelta.validate`) probes edges on
         every session mutate; going through the dict view would rebuild
         the O(m) adjacency on each CSR-born child and erase the
-        incremental win, so this bisects the CSR row directly.
+        incremental win, so this bisects the CSR row directly — the
+        numpy row while the child's list views are unbuilt
+        (:meth:`CompiledGraph.adjacent <repro.local.engine.
+        CompiledGraph.adjacent>`).
         """
         if self._adj is not None:
             return any(w == v for _, w, _ in self._adj[u])
-        from bisect import bisect_left
-
         cg = self.compiled()
-        i, j = cg.index[u], cg.index[v]
-        lo, hi = cg.offsets[i], cg.offsets[i + 1]
-        k = bisect_left(cg.neigh, j, lo, hi)
-        return k < hi and cg.neigh[k] == j
+        return cg.adjacent(cg.index[u], cg.index[v])
 
     def edge_count(self):
         """Number of edges."""
@@ -465,12 +492,13 @@ class SimGraph:
         The result is bit-identical to rebuilding from scratch: the
         CSR layout is a pure function of the (labels, identities, edge
         set) triple — nodes in identity order, rows sorted by neighbour
-        identity, ports equal to ranks — and the incremental patch
+        identity, ports equal to ranks — and the incremental splice
         produces exactly that canonical form (asserted by the
         differential harness in ``tests/test_service.py``).
 
-        Under the reference backend the full sort-and-re-port rebuild
-        path (:meth:`apply_delta_rebuild`) is used instead, mirroring
+        Under the reference backend, or without numpy (the splice is a
+        numpy splice), the full sort-and-re-port rebuild path
+        (:meth:`apply_delta_rebuild`) is used instead, mirroring
         :meth:`subgraph`; both paths produce identical graphs.
 
         An empty delta returns ``self`` unchanged (no-op identity).
@@ -485,6 +513,15 @@ class SimGraph:
         if delta.is_empty():
             return self
         if DEFAULT_BACKEND == "reference":
+            return self.apply_delta_rebuild(delta)
+        return self._spliced(delta)
+
+    def _spliced(self, delta):
+        """The validated, non-empty ``delta`` applied by the numpy CSR
+        splice, or by the rebuild when numpy is missing."""
+        from .batch import available
+
+        if not available():
             return self.apply_delta_rebuild(delta)
         return self.compiled().apply_delta(delta)
 

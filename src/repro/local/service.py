@@ -152,9 +152,10 @@ class SimulationSession:
         untouched.  An empty delta is the no-op identity: same graph
         object, same caches, epoch unchanged.
 
-        Unlike :meth:`SimGraph.apply_delta` this always takes the
-        incremental CSR patch (that is the service's point); the
-        rebuild path is the oracle the harness diffs against.
+        Unlike :meth:`SimGraph.apply_delta` this takes the incremental
+        CSR splice under every backend (that is the service's point);
+        only without numpy does it fall back to the rebuild path, which
+        is otherwise the oracle the harness diffs against.
         """
         self._check_open()
         if not isinstance(delta, GraphDelta):
@@ -165,7 +166,7 @@ class SimulationSession:
         delta.validate(old)
         if delta.is_empty():
             return self
-        new = old.compiled().apply_delta(delta)
+        new = old._spliced(delta)
         self._graph = new
         self._epoch += 1
         # The one cross-object cache: fused slabs keyed by member-graph

@@ -7,6 +7,7 @@ records that drive backend selection, and the batch-path plumbing.
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.algorithms import TABLE1, capability_table
@@ -55,6 +56,27 @@ class TestCounterRandomBatch:
             CounterRNG.random_batch(keys, 0)
         with pytest.raises(ValueError):
             CounterRNG.random_batch(keys, 1, 65)
+
+    def test_key_base_matches_big_int_formula_beyond_64_bits(self):
+        """The cached stream-key base narrows after big-int mixing:
+        line-graph identities exceed 2^64 here."""
+        from repro.local import SimGraph
+        from repro.local.context import _IDENT_MIX, _MASK64
+
+        path = nx.path_graph(6)
+        graph = SimGraph.from_networkx(
+            path, idents={u: 2**40 + 7 * u for u in path}
+        )
+        bg = batch_module.batch_graph_of_spec(line_graph_spec(graph))
+        assert max(bg.idents) > 2**64
+        assert bg.key_base.tolist() == [
+            (ident * _IDENT_MIX) & _MASK64 for ident in bg.idents
+        ]
+        key = run_key(3, "salt")
+        keys = batch_module.stream_keys(key, bg.idents, bg.key_base)
+        assert CounterRNG.random_batch(keys, 1).tolist() == [
+            counter_rng(key, ident).getrandbits(62) for ident in bg.idents
+        ]
 
     def test_draw_source_matches_scalar_consumption(self):
         """CounterDraws(idx, t) is the t-th draw of each node's stream."""

@@ -17,6 +17,8 @@ and ``StepRecord.backends`` attribution through a whole alternation.
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
@@ -34,7 +36,8 @@ from repro.local import (
     use_backend,
 )
 from repro.local import sharded
-from repro.local.batch import numpy_or_none
+from repro.local import batch as batch_module
+from repro.local.batch import batch_graph_of, numpy_or_none
 from repro.local.runner import last_stepping
 from repro.local.sharded import fork_available
 
@@ -149,6 +152,167 @@ def test_differential_volume_floor():
     if VOLUME["params"] != set(MATRIX):
         pytest.skip("full differential matrix did not run in this selection")
     assert VOLUME["cases"] >= 200, VOLUME
+
+
+# ----------------------------------------------------------------------
+# The spliced CSR against an independent from-scratch build: arrays,
+# lazy list views and the seeded batch mirror, after every mutation
+# ----------------------------------------------------------------------
+def assert_csr_matches_scratch(live, truth, idents, context=""):
+    """``live``'s CSR forms equal those of a fresh networkx build.
+
+    The benchmark's from-scratch MIS check reads the cached mirror that
+    the splice now hands over, so the oracle here is a graph built from
+    the networkx truth, never the splice's own output.
+    """
+    np = numpy_or_none()
+    oracle = SimGraph.from_networkx(truth, idents=dict(idents))
+    want = oracle.compiled()
+    got = live.compiled()
+    assert live.nodes == oracle.nodes, ("nodes", context)
+    assert live.ident == oracle.ident, ("ident", context)
+    # Born from arrays, with its mirror: no list view built yet.
+    assert got._neigh is None and got._batch is not None, context
+    for name, array in zip(("offsets", "neigh", "rev"), got.arrays()):
+        assert array.dtype == np.int64, (name, context)
+        assert array.tolist() == getattr(want, name), (name, context)
+    want_bg = batch_graph_of(want)
+    for name in ("offsets", "neigh", "owner", "degrees"):
+        assert np.array_equal(
+            getattr(got._batch, name), getattr(want_bg, name)
+        ), (name, context)
+    assert list(got._batch.idents) == want_bg.idents, context
+    if got._batch._key_base is not None:
+        assert np.array_equal(got._batch._key_base, want_bg.key_base), context
+    for name in ("offsets", "neigh", "rev", "degrees", "pairs"):
+        assert getattr(got, name) == getattr(want, name), (name, context)
+
+
+def _churn_delta(rnd, truth, count):
+    """``count`` existing-edge deletes and ``count`` new-edge inserts."""
+    dels = rnd.sample(sorted(truth.edges()), count)
+    nodes = sorted(truth.nodes())
+    adds = set()
+    while len(adds) < count:
+        u, v = sorted(rnd.sample(nodes, 2))
+        if not truth.has_edge(u, v):
+            adds.add((u, v))
+    return GraphDelta(add_edges=sorted(adds), del_edges=dels)
+
+
+@pytest.mark.skipif(numpy_or_none() is None, reason="the splice needs numpy")
+def test_edge_churn_chain_matches_scratch_build(delta_harness):
+    """300 seeded 4+4 deltas on regular-8, n=500; reruns in between
+    make the stream-key base ride along the chain."""
+    rnd = random.Random(13)
+    truth = families.random_regular(500, 8, seed=13)
+    idents = dict(identifiers.SCHEMES["poly"](truth, seed=14))
+    graph = SimGraph.from_networkx(truth, idents=dict(idents))
+    with open_session(graph, rng="counter") as session:
+        for step in range(300):
+            delta = _churn_delta(rnd, truth, 4)
+            parent = session.graph
+            session.mutate(delta)
+            delta_harness.apply_to_networkx(truth, idents, delta)
+            live = session.graph
+            # Same node set: the node-keyed state is shared, not copied.
+            assert live.ident is parent.ident
+            assert live.compiled().idents is parent.compiled().idents
+            assert_csr_matches_scratch(live, truth, idents, context=step)
+            if step % 50 == 0:
+                result = session.rerun(luby_mis(), seed=step)
+                cold = run(
+                    SimGraph.from_networkx(truth, idents=dict(idents)),
+                    luby_mis(), seed=step, rng="counter",
+                )
+                assert_results_equal(result, cold, context=step)
+
+
+@pytest.mark.skipif(numpy_or_none() is None, reason="the splice needs numpy")
+def test_node_churn_matches_scratch_build(delta_harness):
+    rnd = random.Random(21)
+    truth = families.gnp(60, 0.1, seed=21)
+    idents = dict(identifiers.SCHEMES["poly"](truth, seed=22))
+    graph = SimGraph.from_networkx(truth, idents=dict(idents))
+    with open_session(graph, rng="counter") as session:
+        session.rerun(luby_mis(), seed=1)  # the parent's key base exists
+        free = max(idents.values()) + 1
+        for step in range(12):
+            nodes = sorted(truth.nodes())
+            gone = rnd.sample(nodes, 2)
+            kept = [u for u in nodes if u not in gone]
+            # Identities below, between and above the survivors', and
+            # one reusing a deleted node's identity.
+            fresh = {
+                1000 + 2 * step: 1 + step,
+                1001 + 2 * step: idents[gone[0]],
+            }
+            if step % 3 == 0:
+                fresh[5000 + step] = free + step
+            fresh = {
+                u: ident for u, ident in fresh.items()
+                if ident not in {idents[v] for v in kept}
+            }
+            adds = [(u, rnd.choice(kept)) for u in fresh]
+            adds.append(tuple(rnd.sample(list(fresh), 2)))
+            survivors = [e for e in truth.edges() if not set(e) & set(gone)]
+            delta = GraphDelta(
+                add_nodes=fresh,
+                del_nodes=gone,
+                add_edges=adds,
+                del_edges=rnd.sample(survivors, 2),
+            )
+            session.mutate(delta)
+            delta_harness.apply_to_networkx(truth, idents, delta)
+            assert_csr_matches_scratch(session.graph, truth, idents, step)
+            live = session.rerun(luby_mis(), seed=step)
+            cold = run(
+                SimGraph.from_networkx(truth, idents=dict(idents)),
+                luby_mis(), seed=step, rng="counter",
+            )
+            assert_results_equal(live, cold, context=step)
+
+
+@pytest.mark.skipif(numpy_or_none() is None, reason="compares to numpy")
+def test_numpy_free_mutate_takes_the_rebuild_path(monkeypatch):
+    """Without numpy, mutate runs the apply_delta_rebuild specification
+    path and the results equal those of the numpy splice."""
+    rnd = random.Random(5)
+    truth = families.random_regular(80, 4, seed=5)
+    idents = dict(identifiers.SCHEMES["poly"](truth, seed=6))
+    deltas = []
+    model = nx.Graph(truth)
+    for _ in range(6):
+        delta = _churn_delta(rnd, model, 2)
+        model.remove_edges_from(delta.del_edges)
+        model.add_edges_from(delta.add_edges)
+        deltas.append(delta)
+
+    def replay():
+        graph = SimGraph.from_networkx(truth, idents=dict(idents))
+        results = []
+        with open_session(graph, rng="counter") as session:
+            for step, delta in enumerate(deltas):
+                session.mutate(delta)
+                results.append(session.rerun(luby_mis(), seed=step))
+            return session.graph, results
+
+    spliced, with_numpy = replay()
+    rebuilds = []
+    original = SimGraph.apply_delta_rebuild
+
+    def spy(graph, delta):
+        rebuilds.append(delta)
+        return original(graph, delta)
+
+    monkeypatch.setattr(batch_module, "_np", None)
+    monkeypatch.setattr(SimGraph, "apply_delta_rebuild", spy)
+    rebuilt, without = replay()
+    assert rebuilds == deltas
+    assert rebuilt.nodes == spliced.nodes
+    assert rebuilt.adj == spliced.adj
+    for step, (a, b) in enumerate(zip(with_numpy, without)):
+        assert_results_equal(a, b, context=step)
 
 
 # ----------------------------------------------------------------------
