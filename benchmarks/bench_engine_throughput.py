@@ -308,7 +308,7 @@ def unit_virtual_linegraph(n, reps):
 #: Shard counts recorded by the sharded sweep column.
 SHARD_SWEEP = (1, 2, 4)
 #: Boundary channels recorded by the sharded sweep column.
-SHARD_CHANNELS = ("inline", "mp", "mp-pooled")
+SHARD_CHANNELS = ("inline", "mp-pooled")
 
 
 def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP,
@@ -319,11 +319,10 @@ def unit_sharded_alternation(n, seeds, reps, ks=SHARD_SWEEP,
     each column's gain over the single-process batch path
     (``sharded-<channel>-k<k>_gain`` = batch seconds / sharded
     seconds).  The in-process channel serializes the shards and mostly
-    measures partition/exchange overhead; ``mp`` pays one fork per
-    shard per run; ``mp-pooled`` dispatches every run of the
-    alternation to the persistent worker pool with shared-memory halo
-    exchange (D13) — the scale-out lever, needing a multi-core runner
-    for absolute wins over single-process batch.  Every column is
+    measures partition/exchange overhead; ``mp-pooled`` dispatches
+    every run of the alternation to the persistent worker pool with
+    shared-memory halo exchange (D13) — the scale-out lever, needing a
+    multi-core runner for absolute wins over single-process batch.  Every column is
     checked bit-identical to the batch run before it is recorded — a
     baseline can never commit a diverging shard configuration.
     """
@@ -532,7 +531,7 @@ def unit_roundfuse(n, reps, alt_n=150):
     return out
 
 
-def unit_recovery_checkpoint(n, seeds, reps, k=2, channel="mp"):
+def unit_recovery_checkpoint(n, seeds, reps, k=2, channel="mp-pooled"):
     """Round-checkpoint cost of the self-healing shard channel (D15).
 
     Runs the Theorem-2 Luby alternation on the sharded engine twice —
@@ -1156,14 +1155,13 @@ SMOKE_UNITS = {
     # against the single-process strategies on every smoke run — a
     # shard regression fails fast with exit 2.
     "smoke-sharded": lambda: unit_sharded_alternation(
-        SMOKE_N, (1,), reps=2, ks=(2,), channels=("inline", "mp")
+        SMOKE_N, (1,), reps=2, ks=(2,), channels=("inline",)
     ),
     # Pooled-channel gate unit (D13): the persistent worker pool with
-    # shared-memory halos, measured against fork-per-run mp on the same
-    # alternation (bit-identity enforced by the unit itself and by
-    # check_bit_identity above).
+    # shared-memory halos on the same alternation (bit-identity
+    # enforced by the unit itself and by check_bit_identity above).
     "smoke-sharded-pooled": lambda: unit_sharded_alternation(
-        SMOKE_N, (1,), reps=2, ks=(2,), channels=("mp", "mp-pooled")
+        SMOKE_N, (1,), reps=2, ks=(2,), channels=("mp-pooled",)
     ),
     # Fault-injection gate unit (D14): drop + crash profiles on a small
     # alternation.  The recorded degradation numbers are informational;
@@ -1189,9 +1187,9 @@ SMOKE_UNITS = {
     # every smoke run.
     "smoke-roundfuse": lambda: unit_roundfuse(600, reps=2, alt_n=100),
     # Recovery gate unit (D15): per-round checkpointing on vs off on
-    # the fork-per-run channel.  checkpoint_gain falling below 80% of
-    # the baseline means shard snapshots got materially more expensive;
-    # the unit itself refuses to record if checkpointing ever changes
+    # the pooled channel.  checkpoint_gain falling below 80% of the
+    # baseline means shard snapshots got materially more expensive; the
+    # unit itself refuses to record if checkpointing ever changes
     # results.
     "smoke-recovery": lambda: unit_recovery_checkpoint(
         SMOKE_N, (1,), reps=2
@@ -1354,10 +1352,10 @@ def main(argv=None):
                     "compiled = CSR engine stepping per node; batch = CSR "
                     "engine with batched frontier-step kernels (D10); "
                     "sharded-<channel>-k<k> = partitioned engine (D12), "
-                    "inline channel serializes shards in-process, mp forks "
-                    "one worker per shard per run, mp-pooled reuses the "
-                    "persistent worker pool with shared-memory halo "
-                    "exchange (D13; needs a multi-core runner for absolute "
+                    "inline channel serializes shards in-process, "
+                    "mp-pooled reuses the persistent worker pool with "
+                    "shared-memory halo exchange (D13; needs a multi-core "
+                    "runner for absolute "
                     "wins). speedup = reference/compiled, speedup_batch = "
                     "reference/batch, batch_gain = compiled/batch, "
                     "sharded-*_gain = batch/sharded, checkpoint_gain = "

@@ -1,7 +1,7 @@
 """Round-level checkpoints and shard recovery bookkeeping (D15).
 
-The sharded channels (``local/sharded.py``) survive worker deaths by
-*surgical* recovery: after every committed round the parent retains a
+The pooled shard channel (``local/sharded.py``) survives worker deaths
+by *surgical* recovery: after every committed round the parent retains a
 pickled snapshot of each shard, and when a worker dies or hangs only
 that worker is respawned, restored from the last checkpoint, and asked
 to redo the failed round.  Because every per-node draw is a pure
@@ -21,12 +21,12 @@ This module owns the pieces that are independent of any channel:
   rejected instead of resumed from.
 - :func:`resume_from_journal` — drive a journalled run to completion
   inline from its last committed round (an operational tool; the live
-  channels recover in-process without it).
+  pooled channel recovers in-process without it).
 
 Environment switches:
 
 ``REPRO_CHECKPOINT``         "0" disables per-round checkpointing (the
-                             channels then fall back to the legacy
+                             pooled channel then falls back to the
                              restart-from-scratch ladder).  Default on.
 ``REPRO_CHECKPOINT_DIR``     directory to spill checkpoints to; unset
                              means in-memory only.
@@ -70,7 +70,7 @@ def _env_int(name, default):
     return value if value >= 0 else default
 
 
-#: Whether the sharded channels take per-round checkpoints at all.
+#: Whether the pooled shard channel takes per-round checkpoints at all.
 CHECKPOINTS_ENABLED = _env_flag("REPRO_CHECKPOINT", True)
 
 #: Optional spill directory; ``None`` keeps checkpoints in-memory only.
@@ -90,7 +90,7 @@ def snapshot_blob(shard):
     Both shard flavours are plain slotted objects over picklable state
     (numpy arrays / dicts / the picklable rng sources of D13), so in
     practice this only returns ``None`` for exotic user kernels — and
-    those runs simply keep the legacy restart ladder.
+    those runs simply fall back to the restart ladder.
     """
     try:
         return pickle.dumps(shard, protocol=pickle.HIGHEST_PROTOCOL)
@@ -103,19 +103,16 @@ class RoundCheckpoint:
 
     ``round_no`` is the last *committed* round — ``INITIAL_ROUND`` (-1)
     means the shards are freshly built and round 0 has not run.
-    ``blobs`` maps shard index to the pickled shard; ``reports`` maps
-    shard index to the committed round report (used to regenerate the
-    inbound payloads a replayed round needs).  ``ledger`` optionally
-    carries the driver's committed aggregation state so a journalled
-    run can resume without replaying earlier rounds.
+    ``blobs`` maps shard index to the pickled shard.  ``ledger``
+    optionally carries the driver's committed aggregation state so a
+    journalled run can resume without replaying earlier rounds.
     """
 
-    __slots__ = ("round_no", "blobs", "reports", "ledger")
+    __slots__ = ("round_no", "blobs", "ledger")
 
-    def __init__(self, round_no, blobs, reports=None, ledger=None):
+    def __init__(self, round_no, blobs, ledger=None):
         self.round_no = round_no
         self.blobs = dict(blobs)
-        self.reports = dict(reports) if reports else {}
         self.ledger = ledger
 
     @property
@@ -172,7 +169,7 @@ class RecoveryManager:
 
     # -- checkpointing -------------------------------------------------
 
-    def commit(self, round_no, blobs, reports=None):
+    def commit(self, round_no, blobs):
         """Retain the committed state of round ``round_no``.
 
         ``blobs`` maps shard index -> pickled shard (or ``None`` when a
@@ -181,7 +178,7 @@ class RecoveryManager:
         """
         if not self.enabled:
             return
-        self.latest = RoundCheckpoint(round_no, blobs, reports)
+        self.latest = RoundCheckpoint(round_no, blobs)
 
     def note_ledger(self, ledger):
         """Attach the driver's committed aggregation state and spill.
@@ -275,7 +272,6 @@ class CheckpointJournal:
             {
                 "round_no": checkpoint.round_no,
                 "blobs": checkpoint.blobs,
-                "reports": checkpoint.reports,
                 "ledger": checkpoint.ledger,
             },
             protocol=pickle.HIGHEST_PROTOCOL,
@@ -322,9 +318,10 @@ class CheckpointJournal:
             raise CheckpointCorruptError(
                 f"checkpoint journal {self.path} does not unpickle: {exc}"
             ) from exc
+        # Journals written before the ``reports`` key was dropped still
+        # carry it; it was never filled, so it is ignored.
         return RoundCheckpoint(
-            data["round_no"], data["blobs"], data["reports"],
-            data.get("ledger"),
+            data["round_no"], data["blobs"], data.get("ledger")
         )
 
 

@@ -69,10 +69,9 @@ _BACKENDS = ("compiled", "reference", "batch", "sharded", "fused", "jit")
 _RNG_MODES = ("counter", "mt")
 #: Boundary-exchange channels of the sharded engine: ``"inline"`` steps
 #: the shards sequentially in-process (deterministic reference),
-#: ``"mp"`` forks one worker per shard per run, ``"mp-pooled"``
-#: dispatches to the persistent worker pool with shared-memory halo
-#: exchange (DESIGN.md D13).
-_SHARD_CHANNELS = ("inline", "mp", "mp-pooled")
+#: ``"mp-pooled"`` dispatches to the persistent worker pool with
+#: shared-memory halo exchange (DESIGN.md D13).
+_SHARD_CHANNELS = ("inline", "mp-pooled")
 
 #: Process-wide backend default (overridable per call).
 DEFAULT_BACKEND = os.environ.get("REPRO_BACKEND", "compiled")
@@ -524,11 +523,11 @@ def run(
         ``"sharded"`` (then :data:`DEFAULT_SHARDS` applies).
     shard_channel:
         Boundary exchange of the sharded engine: ``"inline"``
-        (in-process, deterministic reference), ``"mp"`` (one forked
-        worker per shard per run) or ``"mp-pooled"`` (persistent
-        worker pool + shared-memory halo plane, DESIGN.md D13 — reuse
-        the pool across runs by wrapping the pipeline in
-        ``use_backend("sharded", ...)``).  ``None`` uses
+        (in-process, deterministic reference) or ``"mp-pooled"``
+        (persistent worker pool + shared-memory halo plane, DESIGN.md
+        D13 — reuse the pool across runs by wrapping the pipeline in
+        ``use_backend("sharded", ...)``; shard state that does not
+        pickle steps inline).  ``None`` uses
         :data:`DEFAULT_SHARD_CHANNEL`.
     faults:
         Optional :class:`~repro.local.faults.FaultPlan` of adversarial

@@ -37,24 +37,22 @@ Channels
 --------
 ``channel="inline"`` steps the shards sequentially in-process — the
 deterministic reference for the exchange protocol (and the numpy-free /
-single-core fallback).  ``channel="mp"`` forks one worker per shard
-(copy-on-write inherits graph, processes and kernels without pickling)
-and routes the per-round packets through pipes via the parent; workers
-are forked per run and joined when it completes.  ``channel="mp-pooled"``
-(D13) dispatches to a *persistent* :class:`WorkerPool` instead: workers
-are spawned once per pool scope (``use_backend("sharded", ...)``) and
-reused across every run of a pipeline, with the per-round halo exchange
-travelling through a fork-inherited shared-memory arena rather than
-through the parent's pipes.  All channels produce bit-identical
-:class:`~repro.local.runner.RunResult` fields for every shard count —
-the ``sharded(k) ≡ batch ≡ compiled ≡ reference`` contract enforced by
-``tests/test_engine_equivalence.py``.
+single-core fallback).  ``channel="mp-pooled"`` (D13) dispatches to a
+*persistent* :class:`WorkerPool`: workers are spawned once per pool
+scope (``use_backend("sharded", ...)``) and reused across every run of
+a pipeline, each run's shards arrive pickled, and the per-round halo
+exchange travels through a fork-inherited shared-memory arena rather
+than through the parent's pipes.  Runs whose shard state does not
+pickle, and platforms without fork, step inline instead.  Both
+channels produce bit-identical :class:`~repro.local.runner.RunResult`
+fields for every shard count — the ``sharded(k) ≡ batch ≡ compiled ≡
+reference`` contract enforced by ``tests/test_engine_equivalence.py``.
 
 Checkpoints and self-healing recovery (D15)
 -------------------------------------------
-Both worker channels take a round-level checkpoint after every
-committed round: each worker piggybacks a pickled snapshot of its shard
-on its round report, and the parent's :class:`RecoveryManager`
+The pooled channel takes a round-level checkpoint after every committed
+round: each worker piggybacks a pickled snapshot of its shard on its
+round report, and the parent's :class:`RecoveryManager`
 (``local/recovery.py``) retains the latest complete set.  When a worker
 dies or hangs mid-round, only that worker is respawned and restored
 from the checkpoint, and the failed round is re-dispatched to it alone
@@ -62,10 +60,10 @@ from the checkpoint, and the failed round is re-dispatched to it alone
 of one shard, not the run.  Because every per-node draw is a pure
 function of ``(identity, round)`` (D9), the replayed round is
 bit-identical to the one the dead worker never finished.  Recovery
-escalates respawn-shard → rebuild-pool (pooled only) →
-inline-from-checkpoint under a per-run retry budget
-(``REPRO_SHARD_MAX_RETRIES``); runs whose shard state cannot pickle
-keep the legacy restart-on-inline ladder.  Every rung emits a
+escalates respawn-shard → rebuild-pool → inline-from-checkpoint under a
+per-run retry budget (``REPRO_SHARD_MAX_RETRIES``); runs without a
+checkpoint (``REPRO_CHECKPOINT=0``) keep the restart-on-inline ladder
+of :func:`run_sharded`.  Every rung emits a
 :class:`~repro.errors.ResilienceWarning` and is recorded in the
 ``runner.last_recovery`` diagnostics channel.
 """
@@ -557,7 +555,7 @@ class PerNodeShard:
 
 
 # ---------------------------------------------------------------------------
-# channels: deterministic in-process loop / forked worker pool
+# channels: deterministic in-process loop / pipe helpers
 # ---------------------------------------------------------------------------
 
 def _route(reports, k):
@@ -595,7 +593,19 @@ class InlineChannel:
         pass
 
 
-def _recv_reports(conns, on_failure, round_no=0):
+def _send_all(conns, messages, round_no):
+    """Send one message per worker; a closed pipe means the worker
+    died, surfaced as the retryable
+    :class:`~repro.errors.WorkerDiedError` rather than a bare
+    :class:`BrokenPipeError`."""
+    for s, (conn, message) in enumerate(zip(conns, messages)):
+        try:
+            conn.send(message)
+        except (BrokenPipeError, OSError):
+            raise WorkerDiedError(shard=s, round_no=round_no) from None
+
+
+def _recv_reports(conns, round_no=0):
     """Collect one reply per worker, failing fast on the first failure.
 
     The strict ack-collection variant: used where a failure aborts the
@@ -607,34 +617,26 @@ def _recv_reports(conns, on_failure, round_no=0):
     surfaces as :class:`~repro.errors.WorkerDiedError` (EOF on its pipe)
     and a hung one as :class:`~repro.errors.WorkerTimeoutError`, both
     carrying the shard index and round and both retryable.
-    ``on_failure()`` runs once before the failure is raised.
     """
     timeout = SHARD_TIMEOUT
     deadline = time.monotonic() + timeout if timeout > 0 else None
     reports = []
-    failure = None
     for s, conn in enumerate(conns):
         try:
             if deadline is not None and not conn.poll(
                 max(0.0, deadline - time.monotonic())
             ):
-                failure = WorkerTimeoutError(s, round_no, timeout)
-                break
+                raise WorkerTimeoutError(s, round_no, timeout)
             message = conn.recv()
-            tag, payload = message[0], message[1]
         except (EOFError, OSError):
-            tag, payload = "err", WorkerDiedError(shard=s, round_no=round_no)
-        if tag == "err":
-            failure = payload
-            break
-        reports.append(payload)
-    if failure is not None:
-        on_failure()
-        raise failure
+            raise WorkerDiedError(shard=s, round_no=round_no) from None
+        if message[0] == "err":
+            raise message[1]
+        reports.append(message[1])
     return reports
 
 
-def _recv_outcomes(conns, round_no, procs=None, outcomes=None, beats=None):
+def _recv_outcomes(conns, procs, round_no, outcomes, beats):
     """Collect one outcome per worker *without* failing fast.
 
     Fills ``outcomes`` so slot ``s`` holds ``("ok", payload, blob)`` —
@@ -645,15 +647,13 @@ def _recv_outcomes(conns, round_no, procs=None, outcomes=None, beats=None):
     survivors' committed reports.  A parent-side watchdog checks
     ``procs[s].is_alive()`` between poll ticks, so a worker that died
     without writing surfaces immediately instead of at the shared
-    deadline; ``beats`` (when given) records per-shard report
-    timestamps — the heartbeat trail quoted by recovery warnings.
+    deadline; ``beats`` records per-shard report timestamps — the
+    heartbeat trail quoted by recovery warnings.
     """
     from multiprocessing.connection import wait as _conn_wait
 
     timeout = SHARD_TIMEOUT
     deadline = time.monotonic() + timeout if timeout > 0 else None
-    if outcomes is None:
-        outcomes = [None] * len(conns)
     pending = [s for s in range(len(conns)) if outcomes[s] is None]
     while pending:
         progressed = False
@@ -672,8 +672,7 @@ def _recv_outcomes(conns, round_no, procs=None, outcomes=None, beats=None):
                     "fail", WorkerDiedError(shard=s, round_no=round_no)
                 )
             else:
-                if beats is not None:
-                    beats[s] = time.monotonic()
+                beats[s] = time.monotonic()
                 if message[0] == "err":
                     outcomes[s] = ("fail", message[1])
                 else:
@@ -690,8 +689,7 @@ def _recv_outcomes(conns, round_no, procs=None, outcomes=None, beats=None):
         # readable — surface it now rather than at the deadline.  A
         # short grace poll first, in case its report is still landing.
         for s in list(pending):
-            proc = procs[s] if procs is not None else None
-            if proc is not None and not proc.is_alive():
+            if not procs[s].is_alive():
                 try:
                     if conns[s].poll(0.2):
                         continue  # report landed; next sweep reads it
@@ -720,68 +718,6 @@ def _recv_outcomes(conns, round_no, procs=None, outcomes=None, beats=None):
     return outcomes
 
 
-def _join_workers(procs, conns, grace=True):
-    """Stop, join (terminating stragglers) and disconnect workers.
-
-    ``grace=False`` is the abort path after a timeout or death: a hung
-    worker would sit out the full graceful join, so it is terminated
-    outright — the retry ladder rebuilds fresh workers anyway.
-    """
-    if grace:
-        for conn in conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in procs:
-            proc.join(timeout=5)
-    for proc in procs:
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5)
-    for conn in conns:
-        conn.close()
-
-
-def _shard_worker(conn, shard, checkpointing=False):
-    """Worker loop of the multiprocessing channel (one forked process).
-
-    Waits for explicit ops — ``("round0",)`` included — so a respawned
-    replacement restored from a checkpoint speaks the same protocol as
-    a fresh worker.  With ``checkpointing`` on, every ``round0``/
-    ``round`` reply piggybacks a pickled snapshot of the post-round
-    shard — the parent's round-level checkpoint material (D15).
-    """
-    try:
-        while True:
-            message = conn.recv()
-            kind = message[0]
-            if kind == "round0":
-                report = shard.round0()
-                blob = snapshot_blob(shard) if checkpointing else None
-                conn.send(("ok", report, blob))
-            elif kind == "round":
-                report = shard.round(message[1])
-                blob = snapshot_blob(shard) if checkpointing else None
-                conn.send(("ok", report, blob))
-            elif kind == "undone":
-                conn.send(("ok", shard.undone()))
-            else:  # "stop"
-                break
-    except EOFError:  # parent went away; nothing left to report to
-        pass
-    except BaseException as exc:  # propagate the real failure to the parent
-        try:
-            conn.send(("err", exc))
-        except Exception:
-            try:
-                conn.send(("err", RuntimeError(repr(exc))))
-            except Exception:
-                pass
-    finally:
-        conn.close()
-
-
 def _regen_inbound(shards, payloads, wrap_pipe=False):
     """Rebuild a round's inbound payloads from restored shard state.
 
@@ -805,277 +741,6 @@ def _regen_inbound(shards, payloads, wrap_pipe=False):
             }
         reports.append(([], [], 0, None, outbound))
     return _route(reports, len(shards))
-
-
-class _RecoveringChannel:
-    """Surgical-recovery machinery shared by the worker channels (D15).
-
-    Subclasses provide the transport: ``_conn_list``/``_proc_list``
-    (live pipe ends and processes, indexed by shard), ``_respawn_shard``
-    (replace one worker with a checkpoint-restored twin),
-    ``_restore_all``/``_recoverable`` (checkpoint access),
-    ``_fail_teardown`` (abandon the workers) and optionally
-    ``_handle_exhausted`` (the intermediate escalation rung — the
-    pooled channel rebuilds its pool before giving up on workers).
-
-    ``_run_op`` drives one exchange: dispatch the op to every worker,
-    collect all outcomes, and — when a worker died or hung — respawn
-    just that worker from the last round checkpoint and re-dispatch the
-    op to it alone, under the run's retry budget with exponential
-    backoff.  When workers are beyond saving, the channel restores
-    every shard from the checkpoint and finishes the run in-process
-    (``self.fallback``), so committed rounds are never re-executed.
-    """
-
-    def _init_recovery(self, k, rm):
-        self.k = k
-        self.rm = rm
-        self.fallback = None
-        self.beats = {}
-        self.round_no = 0
-
-    @staticmethod
-    def _message_for(op, payloads, s):
-        if op == "round":
-            return ("round", payloads[s])
-        return (op,)
-
-    def _ckpt_round(self):
-        latest = self.rm.latest
-        if latest is None or latest.round_no == INITIAL_ROUND:
-            return "initial"
-        return f"round-{latest.round_no}"
-
-    def _run_op(self, op, payloads=None):
-        outcomes = self._exchange(op, payloads, [None] * self.k)
-        if any(o is None or o[0] == "fail" for o in outcomes):
-            return self._recover(op, payloads, outcomes)
-        return self._commit(op, outcomes)
-
-    def _exchange(self, op, payloads, outcomes):
-        conns = self._conn_list()
-        for s in range(self.k):
-            if outcomes[s] is not None:
-                continue
-            try:
-                conns[s].send(self._message_for(op, payloads, s))
-            except (BrokenPipeError, OSError):
-                outcomes[s] = (
-                    "fail", WorkerDiedError(shard=s, round_no=self.round_no)
-                )
-        return _recv_outcomes(
-            conns, self.round_no, self._proc_list(), outcomes, self.beats
-        )
-
-    def _commit(self, op, outcomes):
-        reports = [o[1] for o in outcomes]
-        self._note_reports(op, reports)
-        if op != "undone" and self.rm.enabled:
-            self.rm.commit(
-                self.round_no, {s: o[2] for s, o in enumerate(outcomes)}
-            )
-        return reports
-
-    def _note_reports(self, op, reports):
-        pass
-
-    def _on_real_error(self, outcomes):
-        pass
-
-    def _handle_exhausted(self, op, payloads, cause):
-        return self._escalate_inline(op, payloads, cause)
-
-    def _recover(self, op, payloads, outcomes):
-        from .runner import note_recovery
-
-        rm = self.rm
-        while True:
-            failed = [
-                s for s, o in enumerate(outcomes)
-                if o is None or o[0] == "fail"
-            ]
-            if not failed:
-                reports = self._commit(op, outcomes)
-                note_recovery(rm.summary())
-                return reports
-            # A worker's real exception is a bug to surface, never an
-            # outage to recover from.
-            for s in failed:
-                o = outcomes[s]
-                if o is not None and not getattr(o[1], "retryable", False):
-                    self._on_real_error(outcomes)
-                    raise o[1]
-            cause = next(
-                (outcomes[s][1] for s in failed if outcomes[s] is not None),
-                WorkerDiedError(shard=failed[0], round_no=self.round_no),
-            )
-            if not self._recoverable():
-                # No usable checkpoint (checkpointing off, or shard
-                # state that would not pickle): tear down and let
-                # run_sharded's outer ladder restart on inline.
-                self._fail_teardown()
-                raise cause
-            if not rm.budget_left():
-                return self._handle_exhausted(
-                    op,
-                    payloads,
-                    RecoveryExhaustedError(
-                        failed[0], self.round_no, rm.attempts, cause
-                    ),
-                )
-            backoff = rm.backoff_for(SHARD_RETRY_BACKOFF)
-            for s in failed:
-                exc = outcomes[s][1] if outcomes[s] is not None else cause
-                rm.note_failure("respawn", s, self.round_no, exc)
-                beat = self.beats.get(s)
-                ago = (
-                    f"{time.monotonic() - beat:.1f}s ago"
-                    if beat is not None else "never"
-                )
-                warnings.warn(
-                    f"sharded worker {s} failed at round {self.round_no} "
-                    f"({exc}); last heartbeat {ago} — respawning it from "
-                    f"the {self._ckpt_round()} checkpoint "
-                    f"(attempt {rm.attempts}/{rm.max_retries})",
-                    ResilienceWarning,
-                    stacklevel=4,
-                )
-            if backoff > 0:
-                time.sleep(backoff)
-            try:
-                for s in failed:
-                    self._respawn_shard(s)
-                    outcomes[s] = None
-            except FaultError as exc:
-                return self._handle_exhausted(op, payloads, exc)
-            self._exchange(op, payloads, outcomes)
-
-    def _escalate_inline(self, op, payloads, cause):
-        from .runner import note_recovery
-
-        rm = self.rm
-        rm.note_failure("inline", None, self.round_no, cause)
-        warnings.warn(
-            f"sharded {op!r} could not be recovered on workers ({cause}); "
-            f"degrading to the inline channel from the "
-            f"{self._ckpt_round()} checkpoint",
-            ResilienceWarning,
-            stacklevel=4,
-        )
-        restored = self._restore_all()
-        self._fail_teardown()
-        self.fallback = InlineChannel(restored)
-        note_recovery(rm.summary())
-        if op == "round0":
-            return self.fallback.round0()
-        if op == "undone":
-            return self.fallback.undone()
-        return self.fallback.round(_regen_inbound(restored, payloads))
-
-
-class ProcessChannel(_RecoveringChannel):
-    """Forked worker pool: one process per shard, piped exchange.
-
-    The pool is forked per run — fork inherits the shard structures
-    (graph slabs, node processes, kernels) copy-on-write, so nothing
-    but the per-round boundary packets is ever pickled — and joined
-    when the run completes (``close``), crashed workers included.  A
-    worker that dies or hangs mid-round is respawned surgically from
-    the last round checkpoint (D15): the replacement re-runs only the
-    failed round while the run's other workers never notice.  Failures
-    during round 0 restore from the parent's own shard objects, which
-    stay pristine (workers mutate forked copies).
-    """
-
-    def __init__(self, shards):
-        import multiprocessing
-
-        self.ctx = multiprocessing.get_context("fork")
-        self._init_recovery(len(shards), RecoveryManager(len(shards)))
-        self.conns = []
-        self.procs = []
-        self._initial = list(shards)
-        self._torn = False
-        for shard in shards:
-            conn, proc = self._fork(shard)
-            self.conns.append(conn)
-            self.procs.append(proc)
-
-    def _fork(self, shard):
-        parent_conn, child_conn = self.ctx.Pipe()
-        proc = self.ctx.Process(
-            target=_shard_worker,
-            args=(child_conn, shard, self.rm.enabled),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        return parent_conn, proc
-
-    def _conn_list(self):
-        return self.conns
-
-    def _proc_list(self):
-        return self.procs
-
-    def _recoverable(self):
-        rm = self.rm
-        return rm.enabled and (rm.latest is None or rm.latest.complete)
-
-    def _restore_one(self, s):
-        ckpt = self.rm.latest
-        if ckpt is None:
-            return self._initial[s]
-        return ckpt.restore(s)
-
-    def _restore_all(self):
-        if self.rm.latest is None:
-            return list(self._initial)
-        return self.rm.latest.restore_all()
-
-    def _respawn_shard(self, s):
-        old = self.procs[s]
-        if old.is_alive():
-            old.terminate()
-        old.join(timeout=5)
-        try:
-            self.conns[s].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        conn, proc = self._fork(self._restore_one(s))
-        self.conns[s] = conn
-        self.procs[s] = proc
-
-    def _fail_teardown(self):
-        if self._torn:
-            return
-        self._torn = True
-        _join_workers(self.procs, self.conns, grace=False)
-
-    def _on_real_error(self, outcomes):
-        self._fail_teardown()
-
-    def round0(self):
-        if self.fallback is not None:
-            return self.fallback.round0()
-        return self._run_op("round0")
-
-    def round(self, inbound):
-        if self.fallback is not None:
-            return self.fallback.round(inbound)
-        self.round_no += 1
-        return self._run_op("round", inbound)
-
-    def undone(self):
-        if self.fallback is not None:
-            return self.fallback.undone()
-        return self._run_op("undone")
-
-    def close(self):
-        if self._torn:
-            return
-        self._torn = True
-        _join_workers(self.procs, self.conns)
 
 
 # ---------------------------------------------------------------------------
@@ -1374,11 +1039,25 @@ class WorkerPool:
         return [proc.pid for proc, _ in self.workers]
 
     def stop_workers(self, grace=True):
-        _join_workers(
-            [proc for proc, _ in self.workers],
-            [conn for _, conn in self.workers],
-            grace=grace,
-        )
+        """Stop, join (terminating stragglers) and disconnect workers.
+
+        ``grace=False`` is the abort path after a timeout or death: a
+        hung worker would sit out the full graceful join, so it is
+        terminated outright.
+        """
+        if grace:
+            for _, conn in self.workers:
+                try:
+                    conn.send(("stop",))
+                except (BrokenPipeError, OSError):
+                    pass
+            for proc, _ in self.workers:
+                proc.join(timeout=5)
+        for proc, conn in self.workers:
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=5)
+            conn.close()
         self.workers = []
 
     def poison(self):
@@ -1448,25 +1127,28 @@ def pool_scope():
             _POOL = None
 
 
-class PooledChannel(_RecoveringChannel):
+class PooledChannel:
     """Channel over the persistent pool: pickled load, shm halos.
 
     Protocol per run: one acked ``load`` per shard (the pickled shard
     plus whether the halo plane applies), then ``round0``/``round``/
-    ``undone`` messages mirroring :class:`ProcessChannel`, then one
-    ``unload``.  Batched shards exchange ghost state through the shared
-    arena (the report carries a marker, not the payload); per-node
-    shards and oversized payloads pipe their data exactly like the
-    fork-per-run channel, so every configuration stays bit-identical
-    across channels.
+    ``undone`` messages, then one ``unload``.  Batched shards exchange
+    ghost state through the shared arena (the report carries a marker,
+    not the payload); per-node shards and oversized payloads pipe their
+    data through the parent, so every configuration stays bit-identical
+    to the inline channel.
 
-    Failure handling is per-worker (D15): a dead or hung worker is
-    respawned in its pool slot and ``restore``d from the last round
-    checkpoint while its pool-mates idle; if the budget runs out the
-    channel rebuilds the whole pool once from the checkpoint, then
-    finishes inline.  A worker's *real* exception is raised as-is, and
-    the pool survives it when every other worker stayed healthy — the
-    bug was the shard's, not the pool's.
+    Failure handling is per-worker (D15).  Each op is dispatched to
+    every worker and all outcomes are collected; a dead or hung worker
+    is respawned in its pool slot, ``restore``d from the last round
+    checkpoint and re-sent the op alone while its pool-mates idle,
+    under the run's retry budget with exponential backoff.  When the
+    budget runs out the channel rebuilds the whole pool once from the
+    checkpoint, then finishes the run in-process (``self.fallback``),
+    so committed rounds are never re-executed.  A worker's *real*
+    exception is raised as-is, and the pool survives it when every
+    other worker stayed healthy — the bug was the shard's, not the
+    pool's.
     """
 
     def __init__(self, pool, workers, owns_pool, rm, use_plane, plane_total):
@@ -1475,16 +1157,20 @@ class PooledChannel(_RecoveringChannel):
         self.owns_pool = owns_pool
         self.use_plane = use_plane
         self.plane_total = plane_total
+        self.k = len(workers)
+        self.rm = rm
+        self.fallback = None
+        self.beats = {}
+        self.round_no = 0
         self.closed = False
         self._rebuilt = False
         self._overflow_warned = False
-        self._init_recovery(len(workers), rm)
 
     @classmethod
     def open(cls, shards):
         """Dispatch a run to the pool, or ``None`` when the run's shard
         state cannot ship to persistent workers (unpicklable processes
-        degrade to the fork-per-run channel, which inherits state)."""
+        then step inline, see :func:`open_channel`)."""
         import pickle
 
         try:
@@ -1506,9 +1192,13 @@ class PooledChannel(_RecoveringChannel):
             if use_plane:
                 pool.ensure_arena(plane_total)
             workers = pool.lease(len(shards))
-            for (_, conn), blob in zip(workers, blobs):
-                conn.send(("load", blob, use_plane, rm.enabled))
-            _recv_reports([conn for _, conn in workers], lambda: None, 0)
+            conns = [conn for _, conn in workers]
+            _send_all(
+                conns,
+                [("load", blob, use_plane, rm.enabled) for blob in blobs],
+                0,
+            )
+            _recv_reports(conns)
         except Exception:
             # Poison even the shared scope pool: a failed dispatch may
             # leave dead or half-loaded workers behind, and the next
@@ -1525,164 +1215,16 @@ class PooledChannel(_RecoveringChannel):
             rm.commit(INITIAL_ROUND, dict(enumerate(blobs)))
         return channel
 
-    def _poison(self):
-        global _POOL
-        self.closed = True
-        if _POOL is self.pool:
-            _POOL = None
-        self.pool.poison()
-
-    # -- recovery plumbing (see _RecoveringChannel) --------------------
-
-    def _conn_list(self):
-        return [conn for _, conn in self.workers]
-
-    def _proc_list(self):
-        return [proc for proc, _ in self.workers]
-
-    def _recoverable(self):
-        return self.rm.recoverable
-
-    def _restore_all(self):
-        return self.rm.latest.restore_all()
-
-    def _respawn_shard(self, s):
-        ckpt = self.rm.latest
-        proc, conn = self.pool.respawn(s)
-        self.workers[s] = (proc, conn)
-        conn.send(
-            ("restore", ckpt.blobs[s], self.use_plane,
-             ckpt.round_no, self.rm.enabled)
-        )
-        _recv_reports([conn], lambda: None, self.round_no)
-
-    def _fail_teardown(self):
-        self._poison()
-
-    def _on_real_error(self, outcomes):
-        # Keep the pool warm only when the failure is provably isolated:
-        # every other worker reported this op (ok, or its own real
-        # error).  A missing or retryable outcome means a worker may be
-        # hung or dead — leasing it to the next run would corrupt it.
-        healthy = all(
-            o is not None
-            and (o[0] == "ok" or not getattr(o[1], "retryable", False))
-            for o in outcomes
-        )
-        if not healthy:
-            self._poison()
-
-    def _handle_exhausted(self, op, payloads, cause):
-        from .runner import note_recovery
-
-        if self._rebuilt or not self.rm.recoverable:
-            return self._escalate_inline(op, payloads, cause)
-        self._rebuilt = True
-        self.rm.note_failure("rebuild", None, self.round_no, cause)
-        warnings.warn(
-            f"sharded worker pool gave up on surgical respawns at round "
-            f"{self.round_no} ({cause}); rebuilding the pool from the "
-            f"{self._ckpt_round()} checkpoint",
-            ResilienceWarning,
-            stacklevel=5,
-        )
-        note_recovery(self.rm.summary())
-        try:
-            return self._rebuild_and_redo(op, payloads)
-        except FaultError as exc:
-            return self._escalate_inline(op, payloads, exc)
-
-    def _rebuild_and_redo(self, op, payloads):
-        """Replace the poisoned pool wholesale and replay the failed op.
-
-        The fresh arena holds no round data, so every worker re-executes
-        the op with payloads regenerated from the restored shards
-        (piped, not shm) — after which the restored write sequence makes
-        subsequent rounds use the arena as usual.
-        """
-        global _POOL
-        ckpt = self.rm.latest
-        restored = ckpt.restore_all()
-        blobs = dict(ckpt.blobs)
-        self._poison()
-        self.closed = False
-        pool = WorkerPool()
-        if _POOL is None and _POOL_SCOPES > 0:
-            _POOL = pool
-        self.pool = pool
-        self.owns_pool = _POOL is not pool
-        if self.use_plane:
-            pool.ensure_arena(self.plane_total)
-        workers = pool.lease(self.k)
-        self.workers = list(workers)
-        for s, (_, conn) in enumerate(self.workers):
-            conn.send(
-                ("restore", blobs[s], self.use_plane,
-                 ckpt.round_no, self.rm.enabled)
-            )
-        _recv_reports(self._conn_list(), lambda: None, self.round_no)
-        if op == "round":
-            payloads = _regen_inbound(
-                restored, payloads, wrap_pipe=self.use_plane
-            )
-        outcomes = self._exchange(op, payloads, [None] * self.k)
-        failed = [
-            s for s, o in enumerate(outcomes) if o is None or o[0] == "fail"
-        ]
-        if not failed:
-            from .runner import note_recovery
-
-            reports = self._commit(op, outcomes)
-            note_recovery(self.rm.summary())
-            return reports
-        for s in failed:
-            o = outcomes[s]
-            if o is not None and not getattr(o[1], "retryable", False):
-                self._on_real_error(outcomes)
-                raise o[1]
-        raise WorkerDiedError(shard=failed[0], round_no=self.round_no)
-
-    def _note_reports(self, op, reports):
-        if (
-            self._overflow_warned
-            or not self.use_plane
-            or op == "undone"
-        ):
-            return
-        for report in reports:
-            outbound = report[4] if len(report) > 4 else None
-            if not outbound:
-                continue
-            if any(
-                isinstance(marker, tuple) and marker and marker[0] == "pipe"
-                for marker in outbound.values()
-            ):
-                self._overflow_warned = True
-                warnings.warn(
-                    f"sharded halo plane overflowed at round "
-                    f"{self.round_no}; oversized boundary payloads are "
-                    f"piping instead of using shared memory",
-                    ResilienceWarning,
-                    stacklevel=5,
-                )
-                return
-
     # -- public channel interface --------------------------------------
 
     def round0(self):
-        if self.fallback is not None:
-            return self.fallback.round0()
         return self._run_op("round0")
 
     def round(self, inbound):
-        if self.fallback is not None:
-            return self.fallback.round(inbound)
         self.round_no += 1
         return self._run_op("round", inbound)
 
     def undone(self):
-        if self.fallback is not None:
-            return self.fallback.undone()
         return self._run_op("undone")
 
     def close(self):
@@ -1697,32 +1239,258 @@ class PooledChannel(_RecoveringChannel):
         if self.owns_pool:
             self.pool.shutdown()
 
+    # -- one exchange ----------------------------------------------------
+
+    def _run_op(self, op, payloads=None):
+        fallback = self.fallback
+        if fallback is not None:
+            if op == "round":
+                return fallback.round(payloads)
+            return fallback.round0() if op == "round0" else fallback.undone()
+        outcomes = self._exchange(op, payloads, [None] * self.k)
+        if any(o[0] == "fail" for o in outcomes):
+            return self._recover(op, payloads, outcomes)
+        return self._commit(op, outcomes)
+
+    def _exchange(self, op, payloads, outcomes):
+        """Send ``op`` to every worker whose outcome slot is empty and
+        collect the outcomes (see :func:`_recv_outcomes`)."""
+        conns = [conn for _, conn in self.workers]
+        for s in range(self.k):
+            if outcomes[s] is not None:
+                continue
+            try:
+                conns[s].send(
+                    ("round", payloads[s]) if op == "round" else (op,)
+                )
+            except (BrokenPipeError, OSError):
+                outcomes[s] = (
+                    "fail", WorkerDiedError(shard=s, round_no=self.round_no)
+                )
+        return _recv_outcomes(
+            conns,
+            [proc for proc, _ in self.workers],
+            self.round_no,
+            outcomes,
+            self.beats,
+        )
+
+    def _commit(self, op, outcomes):
+        reports = [o[1] for o in outcomes]
+        if op == "undone":
+            return reports
+        if self.rm.enabled:
+            self.rm.commit(
+                self.round_no, {s: o[2] for s, o in enumerate(outcomes)}
+            )
+        if self.use_plane and not self._overflow_warned and any(
+            marker[0] == "pipe"
+            for report in reports
+            for marker in report[4].values()
+        ):
+            self._overflow_warned = True
+            warnings.warn(
+                f"sharded halo plane overflowed at round {self.round_no}; "
+                f"oversized boundary payloads are piping instead of using "
+                f"shared memory",
+                ResilienceWarning,
+                stacklevel=5,
+            )
+        return reports
+
+    def _failed(self, outcomes):
+        """Shards whose op failed retryably (died or hung).
+
+        A worker's real exception is a bug to surface, never an outage
+        to recover from: it is raised as-is.  The pool stays warm only
+        when the failure is provably isolated — every other worker
+        reported this op (ok, or its own real error); a retryable
+        outcome beside it means a worker may be hung or dead, and
+        leasing it to the next run would corrupt that run.
+        """
+        failed = [s for s, o in enumerate(outcomes) if o[0] == "fail"]
+        for s in failed:
+            exc = outcomes[s][1]
+            if not getattr(exc, "retryable", False):
+                if any(getattr(outcomes[t][1], "retryable", False)
+                       for t in failed):
+                    self._poison()
+                raise exc
+        return failed
+
+    # -- recovery ladder (D15) -----------------------------------------
+
+    def _ckpt_round(self):
+        latest = self.rm.latest
+        if latest is None or latest.round_no == INITIAL_ROUND:
+            return "initial"
+        return f"round-{latest.round_no}"
+
+    def _poison(self):
+        global _POOL
+        self.closed = True
+        if _POOL is self.pool:
+            _POOL = None
+        self.pool.poison()
+
+    def _restore(self, slots):
+        """Load the listed worker slots from the last checkpoint (acked)."""
+        ckpt = self.rm.latest
+        conns = [self.workers[s][1] for s in slots]
+        _send_all(
+            conns,
+            [
+                ("restore", ckpt.blobs[s], self.use_plane, ckpt.round_no,
+                 self.rm.enabled)
+                for s in slots
+            ],
+            self.round_no,
+        )
+        _recv_reports(conns, self.round_no)
+
+    def _recover(self, op, payloads, outcomes):
+        from .runner import note_recovery
+
+        rm = self.rm
+        while True:
+            failed = self._failed(outcomes)
+            if not failed:
+                reports = self._commit(op, outcomes)
+                note_recovery(rm.summary())
+                return reports
+            cause = outcomes[failed[0]][1]
+            if not rm.recoverable:
+                # No usable checkpoint (checkpointing off): tear down
+                # and let run_sharded's outer ladder restart on inline.
+                self._poison()
+                raise cause
+            if not rm.budget_left():
+                return self._rebuild_or_inline(
+                    op,
+                    payloads,
+                    RecoveryExhaustedError(
+                        failed[0], self.round_no, rm.attempts, cause
+                    ),
+                )
+            backoff = rm.backoff_for(SHARD_RETRY_BACKOFF)
+            for s in failed:
+                exc = outcomes[s][1]
+                rm.note_failure("respawn", s, self.round_no, exc)
+                beat = self.beats.get(s)
+                ago = (
+                    f"{time.monotonic() - beat:.1f}s ago"
+                    if beat is not None else "never"
+                )
+                warnings.warn(
+                    f"sharded worker {s} failed at round {self.round_no} "
+                    f"({exc}); last heartbeat {ago} — respawning it from "
+                    f"the {self._ckpt_round()} checkpoint "
+                    f"(attempt {rm.attempts}/{rm.max_retries})",
+                    ResilienceWarning,
+                    stacklevel=4,
+                )
+            if backoff > 0:
+                time.sleep(backoff)
+            try:
+                for s in failed:
+                    self.workers[s] = self.pool.respawn(s)
+                    outcomes[s] = None
+                self._restore(failed)
+            except FaultError as exc:
+                return self._rebuild_or_inline(op, payloads, exc)
+            self._exchange(op, payloads, outcomes)
+
+    def _rebuild_or_inline(self, op, payloads, cause):
+        """The rungs past surgical respawns: rebuild the pool once from
+        the checkpoint, then finish the run inline from it."""
+        from .runner import note_recovery
+
+        if not self._rebuilt:
+            self._rebuilt = True
+            self.rm.note_failure("rebuild", None, self.round_no, cause)
+            warnings.warn(
+                f"sharded worker pool gave up on surgical respawns at round "
+                f"{self.round_no} ({cause}); rebuilding the pool from the "
+                f"{self._ckpt_round()} checkpoint",
+                ResilienceWarning,
+                stacklevel=5,
+            )
+            note_recovery(self.rm.summary())
+            try:
+                return self._rebuild_and_redo(op, payloads)
+            except FaultError as exc:
+                cause = exc
+        rm = self.rm
+        rm.note_failure("inline", None, self.round_no, cause)
+        warnings.warn(
+            f"sharded {op!r} could not be recovered on workers ({cause}); "
+            f"degrading to the inline channel from the "
+            f"{self._ckpt_round()} checkpoint",
+            ResilienceWarning,
+            stacklevel=5,
+        )
+        restored = rm.latest.restore_all()
+        self._poison()
+        self.fallback = InlineChannel(restored)
+        note_recovery(rm.summary())
+        if op == "round":
+            payloads = _regen_inbound(restored, payloads)
+        return self._run_op(op, payloads)
+
+    def _rebuild_and_redo(self, op, payloads):
+        """Replace the poisoned pool wholesale and replay the failed op.
+
+        The fresh arena holds no round data, so every worker re-executes
+        the op with payloads regenerated from the restored shards
+        (piped, not shm) — after which the restored write sequence makes
+        subsequent rounds use the arena as usual.
+        """
+        from .runner import note_recovery
+
+        global _POOL
+        restored = self.rm.latest.restore_all()
+        self._poison()
+        self.closed = False
+        pool = WorkerPool()
+        if _POOL is None and _POOL_SCOPES > 0:
+            _POOL = pool
+        self.pool = pool
+        self.owns_pool = _POOL is not pool
+        if self.use_plane:
+            pool.ensure_arena(self.plane_total)
+        self.workers = list(pool.lease(self.k))
+        self._restore(range(self.k))
+        if op == "round":
+            payloads = _regen_inbound(
+                restored, payloads, wrap_pipe=self.use_plane
+            )
+        outcomes = self._exchange(op, payloads, [None] * self.k)
+        failed = self._failed(outcomes)
+        if failed:
+            raise WorkerDiedError(shard=failed[0], round_no=self.round_no)
+        reports = self._commit(op, outcomes)
+        note_recovery(self.rm.summary())
+        return reports
+
 
 def open_channel(shards, channel):
     """Build the requested channel.
 
-    ``"mp-pooled"`` degrades to ``"mp"`` when the run's shard state is
-    unpicklable (fork-per-run inherits state instead), and either
-    multiprocessing channel degrades to ``"inline"`` where fork is
-    unavailable — the exchange protocol is identical across all three.
+    ``"mp-pooled"`` steps inline instead (same exchange protocol, same
+    bits, one process) where fork is unavailable or the run's shard
+    state does not pickle to the persistent workers.
     """
-    if channel == "mp-pooled" and fork_available():
-        chan = PooledChannel.open(shards)
-        if chan is not None:
-            return chan
+    if channel == "mp-pooled":
+        if not fork_available():
+            reason = "fork is unavailable on this platform"
+        else:
+            chan = PooledChannel.open(shards)
+            if chan is not None:
+                return chan
+            reason = "the run's shard state does not pickle"
         warnings.warn(
-            "sharded run's shard state does not pickle; degrading "
-            "mp-pooled to the fork-per-run mp channel (same bits)",
-            ResilienceWarning,
-            stacklevel=3,
-        )
-        channel = "mp"
-    if channel in ("mp", "mp-pooled"):
-        if fork_available():
-            return ProcessChannel(shards)
-        warnings.warn(
-            f"fork is unavailable on this platform; degrading the "
-            f"{channel!r} channel to inline (same bits, one process)",
+            f"{reason}; degrading the 'mp-pooled' channel to inline "
+            f"(same bits, one process)",
             ResilienceWarning,
             stacklevel=3,
         )
@@ -2006,13 +1774,12 @@ def run_sharded(
     :class:`~repro.errors.WorkerDiedError`) is recovered *inside* the
     channel — respawned alone and restored from the last round
     checkpoint, escalating to a pool rebuild and finally to finishing
-    the run inline from the checkpoint (see ``_RecoveringChannel``).
+    the run inline from the checkpoint (see :class:`PooledChannel`).
     Committed rounds are never re-executed, and the recovered run is
     bit-identical by the D9 purity argument.  Only when no checkpoint
-    exists (``REPRO_CHECKPOINT=0``, or shard state that will not
-    pickle) does the legacy ladder below restart the whole run on the
-    workerless inline channel.  Real worker exceptions are never
-    retried; they propagate first-failure as before.
+    exists (``REPRO_CHECKPOINT=0``) does the ladder below restart the
+    whole run on the workerless inline channel.  Real worker exceptions
+    are never retried; they propagate first-failure as before.
     """
     from .engine import run_batch, run_compiled
     from .runner import note_recovery, note_stepping

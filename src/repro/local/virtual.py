@@ -700,14 +700,13 @@ def _virtual_kernel(
 def _drive_virtual(kernel, algorithm, max_vrounds):
     """Step a virtual kernel to its horizon; returns finish/result maps.
 
-    The shared drive of :func:`run_virtual_batch` and
-    :func:`run_virtual_batch_full`.  Round-fuse-certified kernels (D17)
-    execute their whole schedule in one fused call — virtual round
-    ``k`` is engine round ``k-1``, so the fused drive gets the engine
-    cap ``max_vrounds - 1`` and its events map back by ``+1``.  The
-    sharded ensemble loop exposes neither fused seam and falls through
-    to the per-round loop automatically, as does an ineligible or
-    switched-off configuration.
+    The drive of :func:`_virtual_batch_commits`.  Round-fuse-certified
+    kernels (D17) execute their whole schedule in one fused call —
+    virtual round ``k`` is engine round ``k-1``, so the fused drive gets
+    the engine cap ``max_vrounds - 1`` and its events map back by
+    ``+1``.  The sharded ensemble loop exposes neither fused seam and
+    falls through to the per-round loop automatically, as does an
+    ineligible or switched-off configuration.
     """
     finish_vround = {}
     results = {}
@@ -792,6 +791,51 @@ def _host_commits(spec, physical, finish_vround, vindex):
     return commit
 
 
+def _virtual_batch_commits(spec, algorithm, physical, *, cap, virt_inputs,
+                           guesses, seed, salt, rng_mode, shards,
+                           shard_channel):
+    """Shared body of the two virtual batch drivers; ``None`` = ineligible.
+
+    Steps the kernel to the virtual horizon ``cap // dilation + 1`` and
+    returns ``(commit, results, vindex)``: ``host -> physical commit
+    round`` (:func:`_host_commits`), ``bg index -> output`` and
+    ``virtual label -> bg index``.
+    """
+    if not batch_available() or not spec.adj:
+        return None
+    if not capabilities_of(algorithm).get("supports_batch"):
+        return None
+    guesses = _require_guesses(algorithm, guesses)
+    bg = batch_graph_of_spec(spec)
+    kernel = _virtual_kernel(
+        spec,
+        algorithm,
+        physical,
+        virt_inputs=virt_inputs or {},
+        guesses=guesses,
+        seed=seed,
+        salt=salt,
+        rng_mode=rng_mode,
+        shards=shards,
+        shard_channel=shard_channel,
+        bg=bg,
+    )
+    if kernel is None:
+        return None
+
+    max_vrounds = cap // spec.dilation + 1
+    try:
+        finish_vround, results = _drive_virtual(kernel, algorithm, max_vrounds)
+    finally:
+        closer = getattr(kernel, "close", None)
+        if closer is not None:
+            closer()
+
+    vindex = {label: i for i, label in enumerate(bg.labels)}
+    commit = _host_commits(spec, physical, finish_vround, vindex)
+    return commit, results, vindex
+
+
 def run_virtual_batch(
     spec,
     algorithm,
@@ -833,41 +877,14 @@ def run_virtual_batch(
     Equivalence with the host path is asserted by the equivalence suite
     for full, truncated and restricted-spec runs.
     """
-    if not batch_available() or not spec.adj:
-        return None
-    if not capabilities_of(algorithm).get("supports_batch"):
-        return None
-    guesses = _require_guesses(algorithm, guesses)
-    bg = batch_graph_of_spec(spec)
-    kernel = _virtual_kernel(
-        spec,
-        algorithm,
-        physical,
-        virt_inputs=virt_inputs or {},
-        guesses=guesses,
-        seed=seed,
-        salt=salt,
-        rng_mode=rng_mode,
-        shards=shards,
-        shard_channel=shard_channel,
-        bg=bg,
+    driven = _virtual_batch_commits(
+        spec, algorithm, physical, cap=cap, virt_inputs=virt_inputs,
+        guesses=guesses, seed=seed, salt=salt, rng_mode=rng_mode,
+        shards=shards, shard_channel=shard_channel,
     )
-    if kernel is None:
+    if driven is None:
         return None
-
-    max_vrounds = cap // spec.dilation + 1
-    try:
-        finish_vround, results = _drive_virtual(kernel, algorithm, max_vrounds)
-    finally:
-        closer = getattr(kernel, "close", None)
-        if closer is not None:
-            closer()
-
-    vindex = {label: i for i, label in enumerate(bg.labels)}
-    # A relay commits only after every client host's announcement has
-    # crossed its physical edge (one round after it is broadcast).
-    commit = _host_commits(spec, physical, finish_vround, vindex)
-
+    commit, results, vindex = driven
     outputs = {}
     host_of = spec.host
     for virt in spec.virtual_nodes:
@@ -899,51 +916,25 @@ def run_virtual_batch_full(
     Closes the ROADMAP "still per-node" gap for ``run_full`` on virtual
     domains: with no declared round budget to hand the driver, the
     kernel is stepped to its fixed point (every virtual node finished),
-    capped only by the physical round limit — the budget grows with the
-    stepping itself.  The observable product mirrors the host simulation
-    bit for bit: the per-virtual-node output map plus the physical
-    running time ``max(host commit rounds)`` replayed from the
-    announcement protocol — and when the cap bites, the same
-    :class:`~repro.errors.NonTerminationError` the physical runner
-    would raise for the wrapped algorithm, listing the hosts that could
-    not commit.  Returns ``(outputs, rounds)`` or ``None`` when the
-    configuration is ineligible for the batch path.
+    capped only by the physical round limit — kernel state persists, so
+    extending a budget is just stepping further (a doubling-and-restart
+    schedule degenerates to the same loop).  The observable product
+    mirrors the host simulation bit for bit: the per-virtual-node output
+    map plus the physical running time ``max(host commit rounds)``
+    replayed from the announcement protocol — and when the cap bites,
+    the same :class:`~repro.errors.NonTerminationError` the physical
+    runner would raise for the wrapped algorithm, listing the hosts that
+    could not commit.  Returns ``(outputs, rounds)`` or ``None`` when
+    the configuration is ineligible for the batch path.
     """
-    if not batch_available() or not spec.adj:
-        return None
-    if not capabilities_of(algorithm).get("supports_batch"):
-        return None
-    guesses = _require_guesses(algorithm, guesses)
-    bg = batch_graph_of_spec(spec)
-    kernel = _virtual_kernel(
-        spec,
-        algorithm,
-        physical,
-        virt_inputs=virt_inputs or {},
-        guesses=guesses,
-        seed=seed,
-        salt=salt,
-        rng_mode=rng_mode,
-        shards=shards,
-        shard_channel=shard_channel,
-        bg=bg,
+    driven = _virtual_batch_commits(
+        spec, algorithm, physical, cap=cap, virt_inputs=virt_inputs,
+        guesses=guesses, seed=seed, salt=salt, rng_mode=rng_mode,
+        shards=shards, shard_channel=shard_channel,
     )
-    if kernel is None:
+    if driven is None:
         return None
-
-    max_vrounds = cap // spec.dilation + 1
-    try:
-        # The horizon grows with the stepping itself — kernel state
-        # persists, so extending a budget is just stepping further (a
-        # doubling-and-restart schedule degenerates to this loop).
-        finish_vround, results = _drive_virtual(kernel, algorithm, max_vrounds)
-    finally:
-        closer = getattr(kernel, "close", None)
-        if closer is not None:
-            closer()
-
-    vindex = {label: i for i, label in enumerate(bg.labels)}
-    commit = _host_commits(spec, physical, finish_vround, vindex)
+    commit, results, vindex = driven
     overdue = [
         p
         for p in physical.nodes

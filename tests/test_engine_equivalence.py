@@ -616,11 +616,11 @@ class TestShardEquivalence:
             )
             assert_results_equal(base, sharded, context=(k, rounds))
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     @pytest.mark.parametrize("k", SHARD_COUNTS)
     def test_mp_channels(self, small_gnp, k, channel):
-        """Both multiprocessing channels match the inline one exactly
-        (fork-per-run and the persistent pool, D13), for every k."""
+        """The persistent-pool channel (D13) matches the compiled engine
+        exactly, for every k."""
         for algorithm, guesses in (
             (luby_mis(), None),       # shard-certified kernel
             (fast_mis(), {"m": small_gnp.max_ident, "Delta": small_gnp.max_degree}),  # shard-certified since D13
@@ -658,7 +658,7 @@ class TestShardEquivalence:
 
         base = run(small_gnp, luby_mis(), seed=9, rng="counter")
         monkeypatch.setattr(batch_module, "_np", None)
-        for channel in ("inline", "mp"):
+        for channel in ("inline", "mp-pooled"):
             sharded = run(
                 small_gnp, luby_mis(), seed=9, rng="counter", shards=3,
                 shard_channel=channel,
@@ -681,7 +681,6 @@ class TestShardEquivalence:
         sharded_msgs = []
         for kwargs in (
             {"shards": 3},
-            {"shards": 3, "shard_channel": "mp"},
             {"shards": 3, "shard_channel": "mp-pooled"},
         ):
             with pytest.raises(NonTerminationError) as excinfo:
@@ -798,6 +797,24 @@ class TestShardEquivalence:
 
         with pytest.raises(ParameterError):
             run(small_gnp, luby_mis(), backend="reference", shards=2)
+
+    def test_unknown_channel_rejected_everywhere(self, small_gnp, monkeypatch):
+        """``"mp"`` is not a channel: it fails early, per call, per
+        scope and as the process default, listing the valid ones."""
+        from repro.errors import ParameterError
+        from repro.local import runner, use_backend
+
+        retired = "mp"
+        assert runner._SHARD_CHANNELS == ("inline", "mp-pooled")
+        match = r"unknown shard channel 'mp' \(use \('inline', 'mp-pooled'\)\)"
+        with pytest.raises(ParameterError, match=match):
+            run(small_gnp, luby_mis(), shards=2, shard_channel=retired)
+        with pytest.raises(ParameterError, match=match):
+            with use_backend("sharded", shard_channel=retired):
+                pass  # pragma: no cover - entry raises
+        monkeypatch.setattr(runner, "DEFAULT_SHARD_CHANNEL", retired)
+        with pytest.raises(ParameterError, match=match):
+            run(small_gnp, luby_mis(), shards=2)
 
     def test_partition_plan_geometry(self, medium_gnp):
         """Edge-cut invariants: cover, balance floor, halo symmetry."""

@@ -80,7 +80,7 @@ class TestBitIdentity:
         compiled = run(small_gnp, luby_mis(), seed=5, rng="counter",
                        backend="compiled", faults=plan)
         assert_results_equal(base, compiled, context="compiled")
-        channels = ("inline", "mp", "mp-pooled") if fork_available() else (
+        channels = ("inline", "mp-pooled") if fork_available() else (
             "inline",)
         for k in (1, 2, 3):
             for channel in channels:
@@ -308,7 +308,7 @@ class TestResilienceLadder:
     def fast_ladder(self, monkeypatch):
         monkeypatch.setattr(sharded, "SHARD_RETRY_BACKOFF", 0.01)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_sigkilled_worker_degrades_and_completes(
         self, small_gnp, channel
     ):
@@ -320,7 +320,7 @@ class TestResilienceLadder:
                   shard_channel=channel)
         assert_results_equal(base, got, context=channel)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_hung_worker_times_out_and_completes(
         self, small_gnp, channel, monkeypatch
     ):
@@ -338,15 +338,11 @@ class TestResilienceLadder:
 
         monkeypatch.setattr(sharded, "SHARD_TIMEOUT", 0.1)
         parent, child = multiprocessing.Pipe()
-        closed = []
         with pytest.raises(WorkerTimeoutError) as excinfo:
-            sharded._recv_reports(
-                [parent], lambda: closed.append(True), round_no=3
-            )
+            sharded._recv_reports([parent], round_no=3)
         child.close()
         parent.close()
         exc = excinfo.value
-        assert closed == [True]  # on_failure ran before the raise
         assert exc.retryable and isinstance(exc, FaultError)
         assert exc.shard == 0 and exc.round_no == 3
         assert "worker 0" in str(exc) and "round 3" in str(exc)
@@ -358,10 +354,23 @@ class TestResilienceLadder:
         parent, child = multiprocessing.Pipe()
         child.close()  # worker gone: recv sees EOF immediately
         with pytest.raises(WorkerDiedError) as excinfo:
-            sharded._recv_reports([parent], lambda: None, round_no=2)
+            sharded._recv_reports([parent], round_no=2)
         parent.close()
         assert excinfo.value.retryable
         assert "died without reporting" in str(excinfo.value)
+
+    def test_send_to_dead_worker_raises_worker_died(self):
+        """A worker killed before its load/restore message arrives
+        surfaces as a retryable WorkerDiedError, not a BrokenPipeError
+        that would bypass the restart-inline ladder."""
+        import multiprocessing
+
+        parent, child = multiprocessing.Pipe()
+        child.close()
+        with pytest.raises(WorkerDiedError) as excinfo:
+            sharded._send_all([parent], [("load", b"x" * 4096)], round_no=0)
+        parent.close()
+        assert excinfo.value.retryable and excinfo.value.shard == 0
 
     def test_real_worker_exceptions_do_not_retry(self, small_gnp):
         class _Boom(NodeProcess):
@@ -376,7 +385,7 @@ class TestResilienceLadder:
         algo = LocalAlgorithm(name="boom", process=_Boom)
         with pytest.raises(ValueError, match="algorithm bug"):
             run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                shard_channel="mp")
+                shard_channel="mp-pooled")
 
 
 class TestNonTerminationDiagnostics:

@@ -224,7 +224,7 @@ class TestSurgicalRecovery:
         assert trail.count("respawn") == 1
         assert "rebuild" not in trail and "inline" not in trail
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     @pytest.mark.parametrize("k", (2, 3))
     def test_killed_worker_recovers_bit_identically(
         self, small_gnp, channel, k
@@ -237,7 +237,7 @@ class TestSurgicalRecovery:
         self.assert_surgical(round_no=2)
 
     @pytest.mark.skipif(numpy_or_none() is None, reason="needs numpy")
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     @pytest.mark.parametrize("k", (2, 3))
     def test_killed_batch_worker_recovers_bit_identically(
         self, small_gnp, channel, k
@@ -254,7 +254,7 @@ class TestSurgicalRecovery:
         assert_results_equal(base, got, context=(channel, k))
         self.assert_surgical(round_no=2)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_round0_failure_recovers_from_initial_state(
         self, small_gnp, channel
     ):
@@ -265,7 +265,7 @@ class TestSurgicalRecovery:
         assert_results_equal(base, got, context=channel)
         self.assert_surgical(round_no=0)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_recovery_composes_with_fault_plans(self, small_gnp, channel):
         plan = sample_plan(small_gnp, drop(0.5), 0.2, seed=7)
         algo = LocalAlgorithm(name="kill-once", process=_KillOnceWorker)
@@ -275,7 +275,7 @@ class TestSurgicalRecovery:
         assert_results_equal(base, got, context=channel)
         self.assert_surgical(round_no=2)
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_hung_worker_times_out_and_recovers(
         self, small_gnp, channel, monkeypatch
     ):
@@ -315,12 +315,14 @@ class TestSurgicalRecovery:
         algo = LocalAlgorithm(name="kill-always", process=_KillAlwaysWorker)
         base = run(small_gnp, algo, seed=1, backend="reference")
         got = run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                  shard_channel="mp")
+                  shard_channel="mp-pooled")
         assert_results_equal(base, got, context="exhausted")
         trail = last_recovery()
-        # Exactly one respawn (the budget), then the inline escalation —
-        # never a restart from round 0.
+        # Exactly one respawn (the budget), then the pool rebuild (whose
+        # workers die too), then the inline escalation — never a
+        # restart from round 0.
         assert trail.count("respawn") == 1
+        assert "rebuild@r2" in trail
         assert "inline@r2" in trail and "restart" not in trail
 
     def test_checkpoints_off_restores_legacy_restart(
@@ -330,7 +332,7 @@ class TestSurgicalRecovery:
         algo = LocalAlgorithm(name="kill-always", process=_KillAlwaysWorker)
         base = run(small_gnp, algo, seed=1, backend="reference")
         got = run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                  shard_channel="mp")
+                  shard_channel="mp-pooled")
         assert_results_equal(base, got, context="legacy")
         assert last_recovery() == "restart-inline"
 
@@ -338,11 +340,11 @@ class TestSurgicalRecovery:
         algo = LocalAlgorithm(name="kill-once", process=_KillOnceWorker)
         with pytest.warns(ResilienceWarning, match="respawning"):
             run(small_gnp, algo, seed=1, backend="sharded", shards=2,
-                shard_channel="mp")
+                shard_channel="mp-pooled")
 
     def test_honest_run_leaves_no_trail(self, small_gnp):
         run(small_gnp, luby_mis(), seed=5, rng="counter",
-            backend="sharded", shards=2, shard_channel="mp")
+            backend="sharded", shards=2, shard_channel="mp-pooled")
         assert last_recovery() is None
 
 
@@ -361,7 +363,7 @@ class TestCheckpointJournal:
 
         monkeypatch.setattr(CheckpointJournal, "write", keep_round_one)
         result = run(small_gnp, luby_mis(), seed=5, rng="counter",
-                     backend="sharded", shards=2, shard_channel="mp")
+                     backend="sharded", shards=2, shard_channel="mp-pooled")
         journal = CheckpointJournal(str(tmp_path))
         checkpoint = journal.load()
         assert checkpoint.round_no == 1
@@ -377,16 +379,35 @@ class TestCheckpointJournal:
 
     def test_writes_are_atomic(self, tmp_path):
         journal = CheckpointJournal(str(tmp_path))
-        journal.write(RoundCheckpoint(3, {0: b"blob"}, {}, {"x": 1}))
+        journal.write(RoundCheckpoint(3, {0: b"blob"}, {"x": 1}))
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
         loaded = journal.load()
         assert loaded.round_no == 3 and loaded.blobs == {0: b"blob"}
         assert loaded.ledger == {"x": 1}
 
+    def test_journal_with_reports_key_still_loads(self, tmp_path):
+        """Older journals carry an (always empty) ``reports`` key; the
+        loader ignores it."""
+        import binascii
+        import pickle
+
+        payload = pickle.dumps(
+            {"round_no": 5, "blobs": {0: b"blob"}, "reports": {},
+             "ledger": {"x": 2}}
+        )
+        crc = binascii.crc32(payload) & 0xFFFFFFFF
+        journal = CheckpointJournal(str(tmp_path))
+        with open(journal.path, "wb") as handle:
+            handle.write(recovery._MAGIC + crc.to_bytes(4, "big") + payload)
+        loaded = journal.load()
+        assert loaded.round_no == 5 and loaded.blobs == {0: b"blob"}
+        assert loaded.ledger == {"x": 2}
+        assert not hasattr(loaded, "reports")
+
     def test_corrupt_journal_rejected(self, tmp_path):
         journal = CheckpointJournal(str(tmp_path))
-        journal.write(RoundCheckpoint(2, {0: b"blob"}, {}, None))
+        journal.write(RoundCheckpoint(2, {0: b"blob"}))
         path = journal.path
         # Bit-flip inside the payload: CRC must catch it.
         data = bytearray(open(path, "rb").read())
@@ -502,7 +523,7 @@ class TestSessionChaos:
         self.flag = tmp_path / "failed-once.flag"
         monkeypatch.setenv(KILL_FLAG, str(self.flag))
 
-    @pytest.mark.parametrize("channel", ("mp", "mp-pooled"))
+    @pytest.mark.parametrize("channel", ("mp-pooled",))
     def test_mid_rerun_kill_then_mutate_rerun_identical(
         self, small_gnp, channel
     ):
@@ -520,10 +541,9 @@ class TestSessionChaos:
             assert trail is not None and trail.startswith("respawn@r2(s")
             assert trail.count("respawn") == 1
             assert "rebuild" not in trail and "inline" not in trail
-            if channel == "mp-pooled":
-                pool = session.stats()["pool"]
-                assert pool is not None and not pool["broken"]
-                healed_pids = pool["pids"]
+            pool = session.stats()["pool"]
+            assert pool is not None and not pool["broken"]
+            healed_pids = pool["pids"]
             # The flag file stays on disk: warm workers forked with the
             # env baked in see it and survive — later runs are honest.
             edge = next(iter(session.graph.edges()))
@@ -537,7 +557,6 @@ class TestSessionChaos:
             )
             cold = run(oracle, algo, seed=1, backend="reference")
             assert_results_equal(again, cold, context=("post-heal", channel))
-            if channel == "mp-pooled":
-                # The healed pool (same slots) served the mutated rerun.
-                assert session.stats()["pool"]["pids"] == healed_pids
+            # The healed pool (same slots) served the mutated rerun.
+            assert session.stats()["pool"]["pids"] == healed_pids
         assert sharded.pool_stats() is None

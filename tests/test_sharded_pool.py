@@ -234,30 +234,41 @@ class TestHaloPlaneFallbacks:
         )
         assert_results_equal(base, pooled, context="shm overflow")
 
-    def test_unpicklable_state_degrades_to_fork_per_run(
+    def test_unpicklable_state_degrades_to_inline(
         self, pool_graph, monkeypatch
     ):
         """Closure-carrying node processes cannot ship to the pool; the
-        run degrades to the fork-per-run channel (which inherits state)
-        and stays bit-identical."""
+        run steps on the inline channel, warns, stays bit-identical and
+        never forks a worker."""
+        from repro.errors import ResilienceWarning
         from repro.local.algorithm import zero_round_algorithm
 
-        forked = []
-        original = sharded.ProcessChannel.__init__
+        inline = []
+        spawned = []
 
-        def spy(self, shards):
-            forked.append(len(shards))
-            original(self, shards)
+        class SpyInline(sharded.InlineChannel):
+            def __init__(self, shards):
+                inline.append(len(shards))
+                super().__init__(shards)
 
-        monkeypatch.setattr(sharded.ProcessChannel, "__init__", spy)
+        original_spawn = sharded.WorkerPool._spawn
+
+        def spy_spawn(self):
+            spawned.append(True)
+            return original_spawn(self)
+
+        monkeypatch.setattr(sharded, "InlineChannel", SpyInline)
+        monkeypatch.setattr(sharded.WorkerPool, "_spawn", spy_spawn)
         algo = zero_round_algorithm("ident-mod", lambda ctx: ctx.ident % 7)
         base = run(pool_graph, algo, seed=1, rng="counter")
-        pooled = run(
-            pool_graph, algo, seed=1, rng="counter",
-            shards=2, shard_channel="mp-pooled",
-        )
+        with pytest.warns(ResilienceWarning, match="does not pickle"):
+            pooled = run(
+                pool_graph, algo, seed=1, rng="counter",
+                shards=2, shard_channel="mp-pooled",
+            )
         assert_results_equal(base, pooled, context="unpicklable")
-        assert forked == [2]
+        assert inline == [2]
+        assert spawned == []
         assert sharded._POOL is None
 
     def test_numpy_free_pooled_falls_back_inline(self, pool_graph, monkeypatch):
